@@ -103,19 +103,26 @@ def cmd_exposure(cfg):
     return 0
 
 
-def _fit_summary(cfg, dataset):
-    config = _jps_config(cfg)
-    summary = {"variant": cfg.variant, "n": dataset.n}
+def _run_variants(cfg, config, dataset):
+    """The joint and/or naive pipeline results the configured variant asks for."""
+    result = nres = None
     if cfg.variant in ("jps", "both"):
-        result = jps.run_jps(dataset, replace(config, retain_unit_level=False))
+        result = jps.run_jps(dataset, config)
+    if cfg.variant in ("naive", "both"):
+        nres = jps.run_naive(dataset, config)
+    return result, nres
+
+
+def _fit_summary(cfg, n, result, nres):
+    summary = {"variant": cfg.variant, "n": n}
+    if result is not None:
         summary["boxcox"] = {"k": result.gps.boxcox.k, "skewness": result.gps.boxcox.skewness}
         summary["treatment_models"] = {
             "individual": io_mod.linear_fit_payload(result.gps.z_model),
             "neighborhood": io_mod.linear_fit_payload(result.gps.g_model),
         }
         summary["outcome_model"] = io_mod.linear_fit_payload(result.outcome.fit)
-    if cfg.variant in ("naive", "both"):
-        nres = jps.run_naive(dataset, replace(config, retain_unit_level=False))
+    if nres is not None:
         summary["naive"] = {
             "boxcox": {"k": nres.boxcox.k, "skewness": nres.boxcox.skewness},
             "individual_model": io_mod.linear_fit_payload(nres.z_model),
@@ -127,7 +134,8 @@ def _fit_summary(cfg, dataset):
 def cmd_fit(cfg):
     dataset, _ = _load_dataset(cfg)
     out = _outdir(cfg)
-    summary = _fit_summary(cfg, dataset)
+    config = replace(_jps_config(cfg), retain_unit_level=False)
+    summary = _fit_summary(cfg, dataset.n, *_run_variants(cfg, config, dataset))
     io_mod.write_json(summary, out / "fit_summary.json")
     for label in ("outcome_model",):
         if label in summary:
@@ -144,12 +152,11 @@ def cmd_drf(cfg):
     dataset, _ = _load_dataset(cfg)
     out = _outdir(cfg)
     config = _jps_config(cfg)
-    summary = _fit_summary(cfg, dataset)
-    io_mod.write_json(summary, out / "fit_summary.json")
+    result, nres = _run_variants(cfg, config, dataset)
+    io_mod.write_json(_fit_summary(cfg, dataset.n, result, nres), out / "fit_summary.json")
 
     bands = None
-    if cfg.variant in ("jps", "both"):
-        result = jps.run_jps(dataset, config)
+    if result is not None:
         drf = result.drf
         report = jps.effects(drf, cfg.contrasts)
         if cfg.bootstrap.b >= 2:
@@ -170,8 +177,7 @@ def cmd_drf(cfg):
         )
         io_mod.write_json(report.to_payload(), out / "effects.json")
         io_mod.write_json(io_mod.drf_payload(drf, effects=report, bands=bands), out / "drf.json")
-    if cfg.variant in ("naive", "both"):
-        nres = jps.run_naive(dataset, config)
+    if nres is not None:
         ndrf = nres.drf
         nbands = None
         if cfg.bootstrap.b >= 2:

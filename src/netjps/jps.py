@@ -9,9 +9,12 @@ potential outcomes over a (z, g) grid under counterfactual scores, and
 average over units.  Marginal curves average the per-unit imputations over
 the observed distribution of the other treatment.
 
-Grid imputation is embarrassingly parallel over cells: the fitted objects
-are read-only and each cell's unit average uses numpy's pairwise summation,
-so results do not depend on evaluation order.
+Grid imputation evaluates one z-row of the grid at a time: every g value's
+counterfactual neighborhood scores and imputed outcomes form one (n_g, n)
+block, so working memory is O(n_g * n) whatever the grid's size.  The
+outcome polynomial is evaluated on that block directly, never as a design
+matrix, and each cell's unit average is numpy's pairwise row mean, so the
+stored curves do not depend on whether per-unit values are retained.
 """
 
 import logging
@@ -140,7 +143,6 @@ class DrfGrid:
     marginal_g: np.ndarray | None
     unit_marginal_z: np.ndarray | None = None
     unit_marginal_g: np.ndarray | None = None
-    unit_surface: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -226,9 +228,29 @@ def fit_outcome(dataset, scores, variant="with_interference"):
     return OutcomeFit(fit=fit, variant=variant)
 
 
-def _impute_cells(outcome, z, g, phi, lam):
-    x, _ = build_outcome_matrix(z, g, phi, lam, outcome.variant)
-    return x @ outcome.fit.theta
+def _impute(outcome, z, g, phi, lam):
+    """Imputed outcomes on broadcast inputs and their unit averages (last axis).
+
+    Evaluates theta . row with the terms of :func:`build_outcome_matrix`
+    without forming the design: the treatment polynomials in power form, as
+    in the design (so a grid value whose cube overflows does so here too),
+    the score polynomials Horner-style.  The without_interference variant
+    ignores ``g`` and ``lam``.
+    """
+    t = outcome.fit.theta
+    yhat = (t[-1] + t[0] * z + t[1] * z**2 + t[2] * z**3
+            + phi * (t[3] + t[6] * z + phi * (t[4] + t[5] * phi)))
+    if outcome.variant == "with_interference":
+        yhat = (yhat + (t[7] * g + t[8] * g**2 + t[9] * g**3 + t[14] * z * g)
+                + lam * (t[10] + t[13] * g + lam * (t[11] + t[12] * lam)))
+    mean = yhat.mean(axis=-1)
+    # sums and products carry any non-finite input into the average, so the
+    # inputs need checking only when an average is not finite
+    if not np.all(np.isfinite(mean)):
+        for arr, label in ((z, "z"), (g, "g"), (phi, "phi"), (lam, "lambda")):
+            if not np.all(np.isfinite(arr)):
+                raise InputError(f"non-finite {label} in outcome design")
+    return yhat, mean
 
 
 def impute_drf(gps, outcome, dataset, grid=None, retain_unit_level=True):
@@ -246,47 +268,35 @@ def impute_drf(gps, outcome, dataset, grid=None, retain_unit_level=True):
     sigma_z, sigma_g = gps.z_model.sigma, gps.g_model.sigma
     k = gps.boxcox.k
     n, nz, ng = dataset.n, z_grid.size, g_grid.size
+    g_col = g_grid[:, None]
 
-    # unit-level arrays are grid-major, (grid..., n): each grid point's unit
+    # unit-level arrays are grid-major, (grid, n): each grid point's unit
     # vector is contiguous, so its mean is bit-identical to the stored curve
     surface = np.empty((nz, ng))
-    unit_surface = np.empty((nz, ng, n)) if retain_unit_level else None
     unit_mz = np.empty((nz, n)) if retain_unit_level else None
-    unit_mg = np.empty((ng, n)) if retain_unit_level else None
     marginal_z = np.empty(nz)
-    marginal_g = np.empty(ng)
     flagged = []
 
     for iz, zv in enumerate(z_grid):
-        zs = boxcox_apply(zv, k)
-        phi_z = normal_density(zs, mean_zstar, sigma_z)
+        phi_z = normal_density(boxcox_apply(zv, k), mean_zstar, sigma_z)
         gmean_z = base_g + beta_gz * zv
-        for ig, gv in enumerate(g_grid):
-            lam_zg = normal_density(gv, gmean_z, sigma_g)
-            yhat = _impute_cells(outcome, zv, gv, phi_z, lam_zg)
-            if not np.all(np.isfinite(yhat)):
-                flagged.append((iz, ig))
+        yhat, surface[iz] = _impute(outcome, zv, g_col, phi_z,
+                                    normal_density(g_col, gmean_z, sigma_g))
+        if not np.all(np.isfinite(surface[iz])):
+            for ig in np.flatnonzero(~np.all(np.isfinite(yhat), axis=1)):
+                flagged.append((iz, int(ig)))
                 surface[iz, ig] = np.nan
-            else:
-                surface[iz, ig] = yhat.mean()
-            if retain_unit_level:
-                unit_surface[iz, ig] = yhat
         # marginal over the observed exposure distribution
-        lam_obs = normal_density(g_obs, gmean_z, sigma_g)
-        yhat_z = _impute_cells(outcome, zv, g_obs, phi_z, lam_obs)
-        marginal_z[iz] = yhat_z.mean()
+        yhat_z, marginal_z[iz] = _impute(outcome, zv, g_obs, phi_z,
+                                         normal_density(g_obs, gmean_z, sigma_g))
         if retain_unit_level:
             unit_mz[iz] = yhat_z
 
     zstar_obs = boxcox_apply(dataset.z, k)
     phi_obs = normal_density(zstar_obs, mean_zstar, sigma_z)
     gmean_obs = base_g + beta_gz * dataset.z
-    for ig, gv in enumerate(g_grid):
-        lam_g = normal_density(gv, gmean_obs, sigma_g)
-        yhat_g = _impute_cells(outcome, dataset.z, gv, phi_obs, lam_g)
-        marginal_g[ig] = yhat_g.mean()
-        if retain_unit_level:
-            unit_mg[ig] = yhat_g
+    unit_mg, marginal_g = _impute(outcome, dataset.z, g_col, phi_obs,
+                                  normal_density(g_col, gmean_obs, sigma_g))
 
     if flagged:
         logger.warning("%d non-finite surface cells flagged", len(flagged))
@@ -299,7 +309,7 @@ def impute_drf(gps, outcome, dataset, grid=None, retain_unit_level=True):
     return DrfGrid(
         z_grid=z_grid, g_grid=g_grid, surface=surface,
         marginal_z=marginal_z, marginal_g=marginal_g,
-        unit_marginal_z=unit_mz, unit_marginal_g=unit_mg, unit_surface=unit_surface,
+        unit_marginal_z=unit_mz, unit_marginal_g=unit_mg if retain_unit_level else None,
         meta=meta,
     )
 
@@ -424,7 +434,6 @@ def run_naive(dataset, config):
         raise DomainError("individual-treatment residual scale is zero; scores degenerate")
     mean_zstar = xz @ z_model.theta
     phi_obs = normal_density(zstar, mean_zstar, z_model.sigma)
-    ones = np.ones(dataset.n)
     x, names = build_outcome_matrix(dataset.z, 0.0, phi_obs, 1.0, "without_interference")
     outcome = OutcomeFit(fit=fit_ols(x, dataset.y, names=names), variant="without_interference")
 
@@ -433,16 +442,14 @@ def run_naive(dataset, config):
     marginal_z = np.empty(nz)
     unit_mz = np.empty((nz, dataset.n)) if config.retain_unit_level else None
     for iz, zv in enumerate(z_grid):
-        zs = boxcox_apply(zv, bc.k)
-        phi_z = normal_density(zs, mean_zstar, z_model.sigma)
-        yhat = _impute_cells(outcome, zv, 0.0 * ones, phi_z, ones)
-        marginal_z[iz] = yhat.mean()
+        phi_z = normal_density(boxcox_apply(zv, bc.k), mean_zstar, z_model.sigma)
+        yhat, marginal_z[iz] = _impute(outcome, zv, 0.0, phi_z, 1.0)
         if unit_mz is not None:
             unit_mz[iz] = yhat
     drf = DrfGrid(
         z_grid=z_grid, g_grid=None, surface=None,
         marginal_z=marginal_z, marginal_g=None,
-        unit_marginal_z=unit_mz, unit_marginal_g=None, unit_surface=None,
+        unit_marginal_z=unit_mz, unit_marginal_g=None,
         meta={"n": dataset.n, "variant": "without_interference",
               "grid": {"n_z": nz}, "flagged_cells": []},
     )

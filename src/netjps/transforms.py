@@ -81,7 +81,9 @@ class BoxCoxFit:
 def boxcox_zero_skew(z):
     """Find k with skewness((z^k - 1)/k) = 0 and return (fit, transformed).
 
-    Bisection on k over [-5, 5] with bracket doubling before failure;
+    Bracketed root search on k over [-5, 5], with bracket doubling before
+    failure: Illinois (modified false-position) steps, falling back to the
+    bracket midpoint whenever the secant point leaves the open bracket;
     terminates when |skewness| < 1e-8.
     """
     z = np.asarray(z, dtype=float)
@@ -118,9 +120,14 @@ def boxcox_zero_skew(z):
             f"skewness {s_lo:.4g} at k={lo:g}, {s_hi:.4g} at k={hi:g}"
         )
 
+    # Illinois: halve the stored value at an endpoint that survives two steps
+    # running, so the false-position point cannot stall at that end
     k, s_k = lo, s_lo
+    kept = 0  # endpoint kept by the last step: -1 lo, +1 hi
     for _ in range(200):
-        k = 0.5 * (lo + hi)
+        k = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+        if not lo < k < hi:
+            k = 0.5 * (lo + hi)
         s_k = s(k)
         if math.isnan(s_k):
             raise NoRootError(f"skewness non-finite inside bracket at k={k:g}")
@@ -128,8 +135,14 @@ def boxcox_zero_skew(z):
             break
         if (s_k > 0) == (s_lo > 0):
             lo, s_lo = k, s_k
+            if kept == 1:
+                s_hi *= 0.5
+            kept = 1
         else:
             hi, s_hi = k, s_k
+            if kept == -1:
+                s_lo *= 0.5
+            kept = -1
 
     zstar = boxcox_apply(z, k)
     fit = BoxCoxFit(k=float(k), skewness=float(s_k), source_min=float(z.min()))

@@ -2,14 +2,18 @@
 
 Everything here recomputes pipeline quantities by a different route: plain
 Python loops for exposures, explicit normal equations for least squares,
-series/continued-fraction evaluation for the incomplete gamma, and a
-50-digit mpmath re-derivation of the whole estimation pipeline.
+series/continued-fraction evaluation for the incomplete gamma, a per-cell
+design-matrix loop for grid imputation, and a 50-digit mpmath re-derivation
+of the whole estimation pipeline.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+
+from netjps.linear_model import build_outcome_matrix, normal_density
+from netjps.transforms import boxcox_apply
 
 
 def loop_exposure(edges, nodes, z, mode="plain"):
@@ -45,6 +49,52 @@ def normal_equations_ols(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.linalg.solve(x.T @ x, x.T @ y)
+
+
+def loop_impute(theta, variant, dataset, k, z_model, x_z, z_grid,
+                g_model=None, x_g=(), g_grid=None):
+    """Grid imputation one cell at a time: a fresh outcome design per cell, then @ theta.
+
+    ``z_model``/``g_model`` are the fitted treatment models on the designs
+    (const, *x_z) and (const, *x_g, z).  Returns (surface, marginal_z,
+    marginal_g, unit_marginal_z, unit_marginal_g); the without_interference
+    variant takes no g-side inputs and returns None for the g-side outputs.
+    """
+    n = dataset.n
+    xz = np.column_stack([np.ones(n)] + [dataset.covariates[nm] for nm in x_z])
+    mean_zstar = xz @ z_model.theta
+    phi_obs = normal_density(boxcox_apply(dataset.z, k), mean_zstar, z_model.sigma)
+    with_g = variant == "with_interference"
+    if with_g:
+        xg = np.column_stack([np.ones(n)] + [dataset.covariates[nm] for nm in x_g])
+        base_g, beta_gz, sigma_g = xg @ g_model.theta[:-1], g_model.theta[-1], g_model.sigma
+
+    def cell(z, g, phi, lam):
+        x, _ = build_outcome_matrix(z, g, phi, lam, variant)
+        return x @ theta
+
+    nz = len(z_grid)
+    unit_mz = np.empty((nz, n))
+    surface = unit_mg = None
+    if with_g:
+        ng = len(g_grid)
+        surface = np.empty((nz, ng))
+        unit_mg = np.empty((ng, n))
+    for iz, zv in enumerate(z_grid):
+        phi_z = normal_density(boxcox_apply(zv, k), mean_zstar, z_model.sigma)
+        if not with_g:
+            unit_mz[iz] = cell(zv, 0.0, phi_z, 1.0)
+            continue
+        gmean_z = base_g + beta_gz * zv
+        for ig, gv in enumerate(g_grid):
+            surface[iz, ig] = cell(zv, gv, phi_z, normal_density(gv, gmean_z, sigma_g)).mean()
+        unit_mz[iz] = cell(zv, dataset.g, phi_z, normal_density(dataset.g, gmean_z, sigma_g))
+    if with_g:
+        gmean_obs = base_g + beta_gz * dataset.z
+        for ig, gv in enumerate(g_grid):
+            unit_mg[ig] = cell(dataset.z, gv, phi_obs, normal_density(gv, gmean_obs, sigma_g))
+    marginal_g = None if unit_mg is None else unit_mg.mean(axis=1)
+    return surface, unit_mz.mean(axis=1), marginal_g, unit_mz, unit_mg
 
 
 def moment_skewness(x):
@@ -137,7 +187,7 @@ def _mp_outcome_row(z, g, phi, lam):
 def dense_pipeline(dataset, x_z, x_g, k, z_grid, g_grid, dps=50):
     """Re-derive the whole estimation pipeline in ``dps``-digit arithmetic.
 
-    Takes the fitted power-transform exponent ``k`` as given (the bisection
+    Takes the fitted power-transform exponent ``k`` as given (the root search
     is validated separately; its stopping rule is on skewness, not k) and
     recomputes everything else: exposure is assumed already attached.
     Returns (surface, marginal_z, marginal_g) as float arrays.

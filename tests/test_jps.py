@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -21,7 +23,7 @@ from netjps.jps import (
 from netjps.linear_model import build_outcome_matrix
 from netjps import synth
 
-from oracles import dense_pipeline
+from oracles import dense_pipeline, loop_impute
 
 
 def make_dataset(n=400, seed=0, k_cov=3, g_rule=None, y_rule=None,
@@ -217,6 +219,38 @@ class TestImputeAndMarginals:
         with pytest.raises(InputError, match="retained"):
             marginals(res.drf, ds)
 
+    def test_matches_per_cell_loop_oracle(self):
+        ds = make_dataset(n=500, seed=83)
+        cfg = config_for(ds, GridPolicy(n_z=7, n_g=6))
+        res = run_jps(ds, cfg)
+        want = loop_impute(res.outcome.fit.theta, "with_interference", ds, res.gps.boxcox.k,
+                           res.gps.z_model, cfg.x_z, res.drf.z_grid,
+                           res.gps.g_model, cfg.x_g, res.drf.g_grid)
+        got = (res.drf.surface, res.drf.marginal_z, res.drf.marginal_g,
+               res.drf.unit_marginal_z, res.drf.unit_marginal_g)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
+
+    def test_naive_matches_per_cell_loop_oracle(self):
+        ds = make_dataset(n=500, seed=83)
+        cfg = config_for(ds, GridPolicy(n_z=7))
+        res = run_naive(ds, cfg)
+        _, mz, mg, umz, umg = loop_impute(res.outcome.fit.theta, "without_interference", ds,
+                                          res.boxcox.k, res.z_model, cfg.x_z, res.drf.z_grid)
+        assert mg is None and umg is None
+        for a, b in ((res.drf.marginal_z, mz), (res.drf.unit_marginal_z, umz)):
+            assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("run", [run_jps, run_naive])
+    def test_unit_level_retention_leaves_curves_bit_identical(self, run):
+        ds = make_dataset(n=400, seed=89)
+        cfg = config_for(ds, GridPolicy(n_z=6, n_g=5))
+        kept = run(ds, cfg).drf
+        dropped = run(ds, replace(cfg, retain_unit_level=False)).drf
+        for name in ("surface", "marginal_z", "marginal_g"):
+            a, b = getattr(kept, name), getattr(dropped, name)
+            assert (a is None and b is None) or np.array_equal(a, b)
+
     def test_affine_outcome_equivariance(self):
         ds = make_dataset(n=400, seed=37)
         cfg = config_for(ds, GridPolicy(n_z=5, n_g=5))
@@ -248,6 +282,27 @@ class TestImputeAndMarginals:
             run_jps(ds, config_for(ds, GridPolicy(z_values=(), g_values=(1.0,))))
         with pytest.raises(InputError, match="increasing"):
             run_jps(ds, config_for(ds, GridPolicy(z_values=(2.0, 1.0), g_values=(1.0, 2.0))))
+
+    def test_overflowing_grid_row_flagged_not_written(self, caplog):
+        # z^3 overflows at z = 1e103: that surface row is NaN and its cells are flagged
+        ds = make_dataset(n=200, seed=43)
+        cfg = config_for(ds, GridPolicy(z_values=(1.0, 1e103), g_values=(0.4, 0.8)))
+        with caplog.at_level(logging.WARNING, logger="netjps.jps"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            res = run_jps(ds, cfg)
+        assert np.all(np.isfinite(res.drf.surface[0]))
+        assert np.all(np.isnan(res.drf.surface[1]))
+        assert res.drf.meta["flagged_cells"] == [(1, 0), (1, 1)]
+        assert "2 non-finite surface cells flagged" in caplog.text
+
+    def test_non_finite_imputation_input_rejected(self):
+        ds = make_dataset(n=200, seed=43)
+        res = run_jps(ds, config_for(ds))
+        g = ds.g.copy()
+        g[7] = np.nan
+        with pytest.raises(InputError, match="non-finite g"):
+            impute_drf(res.gps, res.outcome, replace(ds, g=g),
+                       GridPolicy(z_values=(1.0, 1.2), g_values=(0.4, 0.8)))
 
 
 class TestEffects:
