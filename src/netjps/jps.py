@@ -228,21 +228,28 @@ def fit_outcome(dataset, scores, variant="with_interference"):
     return OutcomeFit(fit=fit, variant=variant)
 
 
-def _impute(outcome, z, g, phi, lam):
+def _impute(outcome, z, g, phi, lam, out=None, tmp=None):
     """Imputed outcomes on broadcast inputs and their unit averages (last axis).
 
     Evaluates theta . row with the terms of :func:`build_outcome_matrix`
     without forming the design: the treatment polynomials in power form, as
     in the design (so a grid value whose cube overflows does so here too),
     the score polynomials Horner-style.  The without_interference variant
-    ignores ``g`` and ``lam``.
+    ignores ``g`` and ``lam``.  ``out`` (the broadcast shape) and ``tmp``
+    (the shape of ``lam``), when given, take the imputed outcomes and the
+    lambda polynomial, so no array of that size is allocated.
     """
     t = outcome.fit.theta
     yhat = (t[-1] + t[0] * z + t[1] * z**2 + t[2] * z**3
             + phi * (t[3] + t[6] * z + phi * (t[4] + t[5] * phi)))
     if outcome.variant == "with_interference":
-        yhat = (yhat + (t[7] * g + t[8] * g**2 + t[9] * g**3 + t[14] * z * g)
-                + lam * (t[10] + t[13] * g + lam * (t[11] + t[12] * lam)))
+        yhat = np.add(yhat, t[7] * g + t[8] * g**2 + t[9] * g**3 + t[14] * z * g, out=out)
+        poly = np.multiply(lam, t[12], out=tmp)
+        poly += t[11]
+        poly *= lam
+        poly += t[10] + t[13] * g
+        poly *= lam
+        yhat += poly
     mean = yhat.mean(axis=-1)
     # sums and products carry any non-finite input into the average, so the
     # inputs need checking only when an average is not finite
@@ -276,27 +283,32 @@ def impute_drf(gps, outcome, dataset, grid=None, retain_unit_level=True):
     unit_mz = np.empty((nz, n)) if retain_unit_level else None
     marginal_z = np.empty(nz)
     flagged = []
+    # (n_g, n) blocks written in place by every z-row.  Fresh blocks per row
+    # would go back to the OS at each row's end and be faulted in again,
+    # which cost as much as the arithmetic and made its time erratic.
+    lam, yhat, tmp = np.empty((ng, n)), np.empty((ng, n)), np.empty((ng, n))
 
     for iz, zv in enumerate(z_grid):
         phi_z = normal_density(boxcox_apply(zv, k), mean_zstar, sigma_z)
         gmean_z = base_g + beta_gz * zv
-        yhat, surface[iz] = _impute(outcome, zv, g_col, phi_z,
-                                    normal_density(g_col, gmean_z, sigma_g))
+        _, surface[iz] = _impute(outcome, zv, g_col, phi_z,
+                                 normal_density(g_col, gmean_z, sigma_g, out=lam),
+                                 out=yhat, tmp=tmp)
         if not np.all(np.isfinite(surface[iz])):
             for ig in np.flatnonzero(~np.all(np.isfinite(yhat), axis=1)):
                 flagged.append((iz, int(ig)))
                 surface[iz, ig] = np.nan
         # marginal over the observed exposure distribution
-        yhat_z, marginal_z[iz] = _impute(outcome, zv, g_obs, phi_z,
-                                         normal_density(g_obs, gmean_z, sigma_g))
-        if retain_unit_level:
-            unit_mz[iz] = yhat_z
+        _, marginal_z[iz] = _impute(outcome, zv, g_obs, phi_z,
+                                    normal_density(g_obs, gmean_z, sigma_g),
+                                    out=None if unit_mz is None else unit_mz[iz])
 
     zstar_obs = boxcox_apply(dataset.z, k)
     phi_obs = normal_density(zstar_obs, mean_zstar, sigma_z)
     gmean_obs = base_g + beta_gz * dataset.z
     unit_mg, marginal_g = _impute(outcome, dataset.z, g_col, phi_obs,
-                                  normal_density(g_col, gmean_obs, sigma_g))
+                                  normal_density(g_col, gmean_obs, sigma_g, out=lam),
+                                  out=yhat, tmp=tmp)
 
     if flagged:
         logger.warning("%d non-finite surface cells flagged", len(flagged))

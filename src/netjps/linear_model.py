@@ -177,13 +177,19 @@ def fit_ols(x, y, names=None):
     return LinearFit(theta=theta, sigma=math.sqrt(rss / n), n=n, rss=rss, names=names)
 
 
-def normal_density(x, mean, sd):
-    """Gaussian pdf, vectorized over ``x`` and ``mean``."""
+def normal_density(x, mean, sd, out=None):
+    """Gaussian pdf, vectorized over ``x`` and ``mean``.
+
+    With ``out``, an array of the broadcast shape, every step writes there
+    and no array is allocated.
+    """
     if not np.isscalar(sd) or not math.isfinite(sd) or sd <= 0:
         raise DomainError(f"normal density requires scalar sd > 0, got {sd!r}")
-    x = np.asarray(x, dtype=float)
-    u = (x - mean) / sd
-    return np.exp(-0.5 * u * u) / (sd * math.sqrt(2.0 * math.pi))
+    u = np.divide(np.subtract(np.asarray(x, dtype=float), mean, out=out), sd, out=out)
+    # -0.5 * (u * u) equals (-0.5 * u) * u wherever exp can tell them apart:
+    # scaling by a power of two is exact above the subnormal range
+    w = np.multiply(np.multiply(u, u, out=out), -0.5, out=out)
+    return np.divide(np.exp(w, out=out), sd * math.sqrt(2.0 * math.pi), out=out)
 
 
 def build_outcome_matrix(z, g, phi, lam, variant):
