@@ -37,7 +37,6 @@ def main():
     cfg = JpsConfig(
         x_z=sc.covariate_names(), x_g=sc.covariate_names(),
         grid=GridPolicy(z_values=tuple(z_grid), g_values=tuple(g_grid)),
-        retain_unit_level=False,
     )
     print(f"{'rep':>4} {'jps err':>9} {'naive err':>10} {'jps z*':>8} {'naive z*':>9}")
     jerrs, nerrs = [], []

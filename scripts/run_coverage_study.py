@@ -13,7 +13,7 @@ import numpy as np
 
 from netjps import synth
 from netjps.bootstrap import bootstrap_drf
-from netjps.jps import GridPolicy, JpsConfig
+from netjps.jps import GridPolicy, JpsConfig, run_jps
 
 
 def main():
@@ -39,14 +39,14 @@ def main():
     cfg = JpsConfig(
         x_z=sc.covariate_names(), x_g=sc.covariate_names(),
         grid=GridPolicy(z_values=tuple(z_points), g_values=tuple(g_grid)),
-        retain_unit_level=False,
     )
 
     hits = np.zeros(z_points.size)
     widths = np.zeros(z_points.size)
     for t in range(args.datasets):
         ds, _ = synth.generate(replace(sc, seed=20_000 + args.seed + t))
-        bands = bootstrap_drf(ds, cfg, b=args.replicates, seed=args.seed + t)
+        bands = bootstrap_drf(ds, cfg, run_jps(ds, cfg).drf, b=args.replicates,
+                              seed=args.seed + t)
         hits += (bands.marginal_z_lo <= oracle.marginal_z) & (
             oracle.marginal_z <= bands.marginal_z_hi
         )

@@ -16,18 +16,13 @@ from .jps import (
     fit_outcome,
     fit_treatment_models,
     impute_drf,
-    marginals,
-    naive_drf,
     predict_scores,
     run_jps,
     run_naive,
 )
 from .linear_model import (
-    DesignSpec,
     LinearFit,
-    Term,
     build_outcome_matrix,
-    build_outcome_row,
     fit_ols,
     normal_density,
 )
@@ -35,8 +30,6 @@ from .network import (
     AdjacencyView,
     NeighborhoodSummarySpec,
     build_adjacency,
-    degree,
-    exposure,
     neighborhood_covariate,
 )
 from .synth import OracleDrf, OutcomeRule, Scenario, generate, oracle_drf

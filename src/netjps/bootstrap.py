@@ -3,9 +3,10 @@
 Replicates resample (unit, period) rows i.i.d. with replacement, carrying
 each row's precomputed exposure as a fixed attribute (re-deriving a coherent
 network from a multiset of nodes is ill-defined), and re-run the full
-pipeline on the point estimate's grid.  Replicate r draws from a stream
-seeded by (seed, r), so execution order and parallel fan-out cannot change
-the result; replicate outputs are sorted before the percentile step.
+pipeline on the grid of the point estimate the caller passes in.  Replicate
+r draws from a stream seeded by (seed, r), so execution order and parallel
+fan-out cannot change the result; replicate outputs are sorted before the
+percentile step.
 """
 
 from dataclasses import dataclass, replace
@@ -57,28 +58,27 @@ def _percentiles(stack, level):
     return lo, hi
 
 
-def bootstrap_drf(dataset, config, b, seed, level=0.95, variant="with_interference"):
-    """Nonparametric bootstrap of the full pipeline.
+def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
+    """Nonparametric bootstrap of the full pipeline around ``point``.
 
-    Failed replicates (singular designs, degenerate transforms) are dropped
-    and counted; more than 20% failures aborts with diagnostics.
+    ``point`` is the :class:`~netjps.jps.DrfGrid` that ``run_jps`` or
+    ``run_naive`` produced from ``dataset`` and ``config``; a z-only grid
+    (``g_grid`` None) selects the no-interference pipeline.  Failed
+    replicates (singular designs, degenerate transforms) are dropped and
+    counted; more than 20% failures aborts with diagnostics.
     """
     if b < 2:
         raise InputError("bootstrap needs B >= 2 replicates")
     if not 0 < level < 1:
         raise InputError("confidence level must be in (0, 1)")
-    if variant not in ("with_interference", "without_interference"):
-        raise InputError(f"unknown variant {variant!r}")
 
-    with_g = variant == "with_interference"
+    with_g = point.g_grid is not None
     run = run_jps if with_g else run_naive
-    point = run(dataset, replace(config, retain_unit_level=False))
-    point_drf = point.drf
     fixed_grid = GridPolicy(
-        z_values=tuple(point_drf.z_grid),
-        g_values=None if point_drf.g_grid is None else tuple(point_drf.g_grid),
+        z_values=tuple(point.z_grid),
+        g_values=tuple(point.g_grid) if with_g else None,
     )
-    rep_config = replace(config, grid=fixed_grid, retain_unit_level=False)
+    rep_config = replace(config, grid=fixed_grid)
 
     n = dataset.n
     surfaces, mzs, mgs = [], [], []
@@ -113,9 +113,9 @@ def bootstrap_drf(dataset, config, b, seed, level=0.95, variant="with_interferen
 
     return BootstrapBands(
         level=level, b=b, b_effective=b - failures, failures=failures, seed=seed,
-        z_grid=point_drf.z_grid, g_grid=point_drf.g_grid,
-        surface=point_drf.surface, surface_lo=s_lo, surface_hi=s_hi,
-        marginal_z=point_drf.marginal_z, marginal_z_lo=mz_lo, marginal_z_hi=mz_hi,
-        marginal_g=point_drf.marginal_g, marginal_g_lo=mg_lo, marginal_g_hi=mg_hi,
+        z_grid=point.z_grid, g_grid=point.g_grid,
+        surface=point.surface, surface_lo=s_lo, surface_hi=s_hi,
+        marginal_z=point.marginal_z, marginal_z_lo=mz_lo, marginal_z_hi=mz_hi,
+        marginal_g=point.marginal_g, marginal_g_lo=mg_lo, marginal_g_hi=mg_hi,
         failure_log=tuple(failure_log),
     )

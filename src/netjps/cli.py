@@ -134,8 +134,7 @@ def _fit_summary(cfg, n, result, nres):
 def cmd_fit(cfg):
     dataset, _ = _load_dataset(cfg)
     out = _outdir(cfg)
-    config = replace(_jps_config(cfg), retain_unit_level=False)
-    summary = _fit_summary(cfg, dataset.n, *_run_variants(cfg, config, dataset))
+    summary = _fit_summary(cfg, dataset.n, *_run_variants(cfg, _jps_config(cfg), dataset))
     io_mod.write_json(summary, out / "fit_summary.json")
     for label in ("outcome_model",):
         if label in summary:
@@ -160,10 +159,8 @@ def cmd_drf(cfg):
         drf = result.drf
         report = jps.effects(drf, cfg.contrasts)
         if cfg.bootstrap.b >= 2:
-            bands = bootstrap_mod.bootstrap_drf(
-                dataset, config, cfg.bootstrap.b, cfg.bootstrap.seed,
-                level=cfg.bootstrap.level, variant="with_interference",
-            )
+            bands = bootstrap_mod.bootstrap_drf(dataset, config, drf, cfg.bootstrap.b,
+                                                cfg.bootstrap.seed, level=cfg.bootstrap.level)
         io_mod.write_drf_surface_csv(drf, out / "drf_surface.csv", bands=bands)
         io_mod.write_marginal_csv(
             "z", drf.z_grid, drf.marginal_z, out / "drf_marginal_z.csv",
@@ -181,10 +178,8 @@ def cmd_drf(cfg):
         ndrf = nres.drf
         nbands = None
         if cfg.bootstrap.b >= 2:
-            nbands = bootstrap_mod.bootstrap_drf(
-                dataset, config, cfg.bootstrap.b, cfg.bootstrap.seed,
-                level=cfg.bootstrap.level, variant="without_interference",
-            )
+            nbands = bootstrap_mod.bootstrap_drf(dataset, config, ndrf, cfg.bootstrap.b,
+                                                 cfg.bootstrap.seed, level=cfg.bootstrap.level)
         name = "drf_marginal_z.csv" if cfg.variant == "naive" else "naive_marginal_z.csv"
         io_mod.write_marginal_csv(
             "z", ndrf.z_grid, ndrf.marginal_z, out / name,

@@ -7,7 +7,7 @@ file; the CLI adds no positional arguments beyond the subcommand.
 
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .jps import ContrastSpec, GridPolicy
 from .network import EXPOSURE_MODES, NeighborhoodSummarySpec
 from .synth import OutcomeRule, Scenario
@@ -156,13 +156,12 @@ def parse_config(text, source="<config>"):
             if len(parts) != 3:
                 raise ConfigError(f"{where}: expected 'summarizer:direction:covariate'")
             summarizer, direction, covariate = parts
-            summarizer = summarizer.replace("-", "_")
-            if summarizer not in ("weighted_mean", "sum", "count"):
-                raise ConfigError(f"{where}: unknown summarizer {summarizer!r}")
-            if direction not in ("in", "out"):
-                raise ConfigError(f"{where}: unknown direction {direction!r}")
-            neighborhood.append(NeighborhoodSummarySpec(
-                covariate=covariate, summarizer=summarizer, direction=direction, name=name))
+            try:
+                neighborhood.append(NeighborhoodSummarySpec(
+                    covariate=covariate, summarizer=summarizer.replace("-", "_"),
+                    direction=direction, name=name))
+            except InputError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
         elif key.startswith("scenario.outcome."):
             sub = key.split(".", 2)[2]
             if sub == "x":

@@ -100,8 +100,10 @@ def check_unique_keys(dataset):
 def attach_exposure(dataset, adj, mode="plain"):
     """Compute neighborhood exposures for every row and return a new dataset.
 
-    Every dataset row must be registered in ``adj`` and vice versa; the
-    per-period arithmetic is shared with :func:`netjps.network.exposure`.
+    Plain mode computes G_i = (1/N) sum_j w_ij z_j with N the number of units
+    in i's period block; trade-normalized mode additionally divides by the
+    period's mean nonzero weight.  Every dataset row must be registered in
+    ``adj`` and vice versa.
     """
     if mode not in EXPOSURE_MODES:
         raise InputError(f"unknown exposure mode {mode!r}")

@@ -70,7 +70,7 @@ def read_edges_csv(path):
     return edges
 
 
-def read_panel_csv(path, unit_col, period_col, numeric_check=True):
+def read_panel_csv(path, unit_col, period_col):
     """Panel CSV keyed by (unit, period); every other column is numeric.
 
     Returns (units, periods, columns) with ``columns`` an ordered name ->
@@ -88,9 +88,7 @@ def read_panel_csv(path, unit_col, period_col, numeric_check=True):
         units.append(row[iu])
         periods.append(row[ip])
         for j, name in value_cols:
-            columns[name].append(
-                _parse_float(path, line_num, name, row[j]) if numeric_check else row[j]
-            )
+            columns[name].append(_parse_float(path, line_num, name, row[j]))
     return (
         np.asarray(units, dtype=object),
         np.asarray(periods, dtype=object),

@@ -13,8 +13,7 @@ Grid imputation evaluates one z-row of the grid at a time: every g value's
 counterfactual neighborhood scores and imputed outcomes form one (n_g, n)
 block, so working memory is O(n_g * n) whatever the grid's size.  The
 outcome polynomial is evaluated on that block directly, never as a design
-matrix, and each cell's unit average is numpy's pairwise row mean, so the
-stored curves do not depend on whether per-unit values are retained.
+matrix, and each cell's unit average is numpy's pairwise row mean.
 """
 
 import logging
@@ -78,7 +77,6 @@ class JpsConfig:
     x_z: tuple
     x_g: tuple
     grid: GridPolicy = field(default_factory=GridPolicy)
-    retain_unit_level: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "x_z", tuple(self.x_z))
@@ -129,7 +127,7 @@ class OutcomeFit:
 
 @dataclass
 class DrfGrid:
-    """Imputed dose-response surface, marginals, and optional per-unit detail.
+    """Imputed dose-response surface and marginals.
 
     ``surface[iz, ig]`` averages the imputed potential outcomes at
     (z_grid[iz], g_grid[ig]); a z-only grid (the no-interference estimator)
@@ -141,8 +139,6 @@ class DrfGrid:
     surface: np.ndarray | None
     marginal_z: np.ndarray
     marginal_g: np.ndarray | None
-    unit_marginal_z: np.ndarray | None = None
-    unit_marginal_g: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -181,7 +177,7 @@ def fit_treatment_models(dataset, config):
     if np.ptp(g) == 0:
         raise DegenerateExposureError(
             "all exposures identical; the joint model is unidentified - "
-            "use the no-interference estimator (naive_drf)"
+            "use the no-interference estimator (variant = naive)"
         )
     bc, zstar = boxcox_zero_skew(dataset.z)
     xz, names_z = _design(dataset, config.x_z)
@@ -229,7 +225,7 @@ def fit_outcome(dataset, scores, variant="with_interference"):
 
 
 def _impute(outcome, z, g, phi, lam, out=None, tmp=None):
-    """Imputed outcomes on broadcast inputs and their unit averages (last axis).
+    """Unit averages (last axis) of the imputed outcomes on broadcast inputs.
 
     Evaluates theta . row with the terms of :func:`build_outcome_matrix`
     without forming the design: the treatment polynomials in power form, as
@@ -257,10 +253,10 @@ def _impute(outcome, z, g, phi, lam, out=None, tmp=None):
         for arr, label in ((z, "z"), (g, "g"), (phi, "phi"), (lam, "lambda")):
             if not np.all(np.isfinite(arr)):
                 raise InputError(f"non-finite {label} in outcome design")
-    return yhat, mean
+    return mean
 
 
-def impute_drf(gps, outcome, dataset, grid=None, retain_unit_level=True):
+def impute_drf(gps, outcome, dataset, grid=None):
     """Stages 4-5: counterfactual scores, per-unit imputation, unit averages.
 
     For every grid pair (z, g) each unit's scores are re-evaluated at that
@@ -277,10 +273,7 @@ def impute_drf(gps, outcome, dataset, grid=None, retain_unit_level=True):
     n, nz, ng = dataset.n, z_grid.size, g_grid.size
     g_col = g_grid[:, None]
 
-    # unit-level arrays are grid-major, (grid, n): each grid point's unit
-    # vector is contiguous, so its mean is bit-identical to the stored curve
     surface = np.empty((nz, ng))
-    unit_mz = np.empty((nz, n)) if retain_unit_level else None
     marginal_z = np.empty(nz)
     flagged = []
     # (n_g, n) blocks written in place by every z-row.  Fresh blocks per row
@@ -291,24 +284,23 @@ def impute_drf(gps, outcome, dataset, grid=None, retain_unit_level=True):
     for iz, zv in enumerate(z_grid):
         phi_z = normal_density(boxcox_apply(zv, k), mean_zstar, sigma_z)
         gmean_z = base_g + beta_gz * zv
-        _, surface[iz] = _impute(outcome, zv, g_col, phi_z,
-                                 normal_density(g_col, gmean_z, sigma_g, out=lam),
-                                 out=yhat, tmp=tmp)
+        surface[iz] = _impute(outcome, zv, g_col, phi_z,
+                              normal_density(g_col, gmean_z, sigma_g, out=lam),
+                              out=yhat, tmp=tmp)
         if not np.all(np.isfinite(surface[iz])):
             for ig in np.flatnonzero(~np.all(np.isfinite(yhat), axis=1)):
                 flagged.append((iz, int(ig)))
                 surface[iz, ig] = np.nan
         # marginal over the observed exposure distribution
-        _, marginal_z[iz] = _impute(outcome, zv, g_obs, phi_z,
-                                    normal_density(g_obs, gmean_z, sigma_g),
-                                    out=None if unit_mz is None else unit_mz[iz])
+        marginal_z[iz] = _impute(outcome, zv, g_obs, phi_z,
+                                 normal_density(g_obs, gmean_z, sigma_g))
 
     zstar_obs = boxcox_apply(dataset.z, k)
     phi_obs = normal_density(zstar_obs, mean_zstar, sigma_z)
     gmean_obs = base_g + beta_gz * dataset.z
-    unit_mg, marginal_g = _impute(outcome, dataset.z, g_col, phi_obs,
-                                  normal_density(g_col, gmean_obs, sigma_g, out=lam),
-                                  out=yhat, tmp=tmp)
+    marginal_g = _impute(outcome, dataset.z, g_col, phi_obs,
+                         normal_density(g_col, gmean_obs, sigma_g, out=lam),
+                         out=yhat, tmp=tmp)
 
     if flagged:
         logger.warning("%d non-finite surface cells flagged", len(flagged))
@@ -320,26 +312,8 @@ def impute_drf(gps, outcome, dataset, grid=None, retain_unit_level=True):
     }
     return DrfGrid(
         z_grid=z_grid, g_grid=g_grid, surface=surface,
-        marginal_z=marginal_z, marginal_g=marginal_g,
-        unit_marginal_z=unit_mz, unit_marginal_g=unit_mg if retain_unit_level else None,
-        meta=meta,
+        marginal_z=marginal_z, marginal_g=marginal_g, meta=meta,
     )
-
-
-def marginals(drf, dataset):
-    """Marginal dose-response curves re-averaged from per-unit imputations.
-
-    Requires ``impute_drf(..., retain_unit_level=True)``; averages each grid
-    point's contiguous unit vector, the same arithmetic path that produced
-    the stored curves, so the result is exactly equal to them.
-    """
-    if drf.unit_marginal_z is None:
-        raise InputError("per-unit imputations were not retained")
-    mu_z = np.array([row.mean() for row in drf.unit_marginal_z])
-    mu_g = None
-    if drf.unit_marginal_g is not None:
-        mu_g = np.array([row.mean() for row in drf.unit_marginal_g])
-    return mu_z, mu_g
 
 
 @dataclass(frozen=True)
@@ -424,8 +398,7 @@ def run_jps(dataset, config):
     gps = fit_treatment_models(dataset, config)
     scores = predict_scores(gps, dataset)
     outcome = fit_outcome(dataset, scores, "with_interference")
-    drf = impute_drf(gps, outcome, dataset, config.grid,
-                     retain_unit_level=config.retain_unit_level)
+    drf = impute_drf(gps, outcome, dataset, config.grid)
     return JpsResult(gps=gps, scores=scores, outcome=outcome, drf=drf)
 
 
@@ -452,25 +425,13 @@ def run_naive(dataset, config):
     z_grid, _ = config.grid.resolve(dataset.z)
     nz = z_grid.size
     marginal_z = np.empty(nz)
-    unit_mz = np.empty((nz, dataset.n)) if config.retain_unit_level else None
     for iz, zv in enumerate(z_grid):
         phi_z = normal_density(boxcox_apply(zv, bc.k), mean_zstar, z_model.sigma)
-        yhat, marginal_z[iz] = _impute(outcome, zv, 0.0, phi_z, 1.0)
-        if unit_mz is not None:
-            unit_mz[iz] = yhat
+        marginal_z[iz] = _impute(outcome, zv, 0.0, phi_z, 1.0)
     drf = DrfGrid(
         z_grid=z_grid, g_grid=None, surface=None,
         marginal_z=marginal_z, marginal_g=None,
-        unit_marginal_z=unit_mz, unit_marginal_g=None,
         meta={"n": dataset.n, "variant": "without_interference",
               "grid": {"n_z": nz}, "flagged_cells": []},
     )
     return NaiveResult(boxcox=bc, z_model=z_model, outcome=outcome, drf=drf)
-
-
-def naive_drf(dataset, grid=None, x_z=None):
-    """No-interference dose-response curve (z-only grid)."""
-    if x_z is None:
-        x_z = dataset.covariate_names()
-    config = JpsConfig(x_z=tuple(x_z), x_g=(), grid=grid or GridPolicy())
-    return run_naive(dataset, config).drf

@@ -15,8 +15,6 @@ from .errors import DomainError, InputError, SingularDesignError
 
 RANK_TOL = 1e-10  # singular if a pivoted R diagonal < RANK_TOL * largest
 
-TERM_KINDS = ("raw", "power2", "power3", "interaction")
-
 # Design rows for the outcome model, in the canonical reporting order
 # (polynomials in each treatment and score, score and treatment interactions,
 # intercept last).
@@ -34,74 +32,6 @@ WITHOUT_INTERFERENCE_TERMS = (
     "const",
 )
 VARIANTS = ("with_interference", "without_interference")
-
-
-@dataclass(frozen=True)
-class Term:
-    kind: str
-    operands: tuple
-
-    def __post_init__(self):
-        if self.kind not in TERM_KINDS:
-            raise InputError(f"unknown term kind {self.kind!r}")
-        want = 2 if self.kind == "interaction" else 1
-        if len(self.operands) != want:
-            raise InputError(f"term kind {self.kind!r} takes {want} operand(s)")
-
-    @property
-    def name(self):
-        if self.kind == "raw":
-            return self.operands[0]
-        if self.kind == "power2":
-            return f"{self.operands[0]}^2"
-        if self.kind == "power3":
-            return f"{self.operands[0]}^3"
-        return f"{self.operands[0]}*{self.operands[1]}"
-
-
-@dataclass(frozen=True)
-class DesignSpec:
-    """Named term list resolving against a column mapping."""
-
-    terms: tuple
-    intercept: bool = True
-
-    def __post_init__(self):
-        names = [t.name for t in self.terms]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise InputError(f"duplicate design terms: {dupes}")
-
-    @property
-    def names(self):
-        base = tuple(t.name for t in self.terms)
-        return base + ("const",) if self.intercept else base
-
-    def build(self, columns):
-        """Assemble the design matrix from a name -> vector mapping."""
-        cols = []
-        n = None
-        for term in self.terms:
-            ops = []
-            for name in term.operands:
-                if name not in columns:
-                    raise InputError(f"design term references missing column {name!r}")
-                v = np.asarray(columns[name], dtype=float)
-                ops.append(v)
-                n = v.shape[0] if n is None else n
-            if term.kind == "raw":
-                cols.append(ops[0])
-            elif term.kind == "power2":
-                cols.append(ops[0] ** 2)
-            elif term.kind == "power3":
-                cols.append(ops[0] ** 3)
-            else:
-                cols.append(ops[0] * ops[1])
-        if self.intercept:
-            if n is None:
-                raise InputError("intercept-only design needs at least one column to size rows")
-            cols.append(np.ones(n))
-        return np.column_stack(cols), self.names
 
 
 @dataclass(frozen=True)
@@ -221,8 +151,3 @@ def build_outcome_matrix(z, g, phi, lam, variant):
     cols.append(one)
     return np.column_stack([c.ravel() for c in cols]), names
 
-
-def build_outcome_row(z, g, phi, lam, variant):
-    """Single outcome-model design row for scalar inputs."""
-    mat, _ = build_outcome_matrix(z, g, phi, lam, variant)
-    return mat[0]

@@ -112,18 +112,14 @@ def build_adjacency(edges, nodes):
     InputError
         On self-loops, unregistered unit ids, or negative/non-finite weights.
     """
-    periods = []
+    # insertion-ordered dicts: first appearance fixes the order, repeats are free
     units_by_period = {}
     for unit, period in nodes:
-        if period not in units_by_period:
-            periods.append(period)
-            units_by_period[period] = []
-        if unit not in units_by_period[period]:
-            units_by_period[period].append(unit)
+        units_by_period.setdefault(period, {})[unit] = None
 
     blocks = {}
-    for period in periods:
-        units = tuple(units_by_period[period])
+    for period, registered in units_by_period.items():
+        units = tuple(registered)
         index = {u: k for k, u in enumerate(units)}
         w = np.zeros((len(units), len(units)))
         blocks[period] = PeriodBlock(units=units, index=index, w=w)
@@ -150,7 +146,7 @@ def build_adjacency(edges, nodes):
 
     for block in blocks.values():
         block.w.setflags(write=False)
-    return AdjacencyView(periods=tuple(periods), blocks=blocks)
+    return AdjacencyView(periods=tuple(units_by_period), blocks=blocks)
 
 
 def _block_exposure(w, zvec, mode):
@@ -165,56 +161,6 @@ def _block_exposure(w, zvec, mode):
         )
     s = positive.mean()
     return raw / (n * s)
-
-
-def exposure(adj, z, mode="plain"):
-    """Neighborhood treatment G for every registered unit.
-
-    Plain mode computes G_i = (1/N) sum_j w_ij z_j with N the number of units
-    in i's period block; trade-normalized mode additionally divides by the
-    period's mean nonzero weight.
-
-    Parameters
-    ----------
-    adj : AdjacencyView
-    z : Mapping[(unit, period), float]
-        Treatment value for every registered unit.
-    mode : str
-        ``plain`` or ``trade_normalized``.
-
-    Returns
-    -------
-    dict mapping (unit, period) to the exposure value.
-    """
-    if mode not in EXPOSURE_MODES:
-        raise InputError(f"unknown exposure mode {mode!r}")
-    out = {}
-    for period in adj.periods:
-        block = adj.blocks[period]
-        zvec = np.empty(len(block.units))
-        for k, unit in enumerate(block.units):
-            try:
-                zvec[k] = z[(unit, period)]
-            except KeyError:
-                raise InputError(
-                    f"treatment missing for unit {unit!r} in period {period!r}"
-                ) from None
-        gvec = _block_exposure(block.w, zvec, mode)
-        for k, unit in enumerate(block.units):
-            out[(unit, period)] = float(gvec[k])
-    return out
-
-
-def degree(adj, unit, period, direction="out"):
-    """Number of distinct neighbors of ``unit`` with nonzero weight."""
-    if direction not in DIRECTIONS:
-        raise InputError(f"unknown direction {direction!r}")
-    block = adj.block(period)
-    if unit not in block.index:
-        raise InputError(f"unknown unit {unit!r} in period {period!r}")
-    i = block.index[unit]
-    row = block.w[i, :] if direction == "in" else block.w[:, i]
-    return int(np.count_nonzero(row))
 
 
 def neighborhood_covariate(adj, dataset: "PanelDataset", spec):

@@ -57,8 +57,8 @@ def loop_impute(theta, variant, dataset, k, z_model, x_z, z_grid,
 
     ``z_model``/``g_model`` are the fitted treatment models on the designs
     (const, *x_z) and (const, *x_g, z).  Returns (surface, marginal_z,
-    marginal_g, unit_marginal_z, unit_marginal_g); the without_interference
-    variant takes no g-side inputs and returns None for the g-side outputs.
+    marginal_g); the without_interference variant takes no g-side inputs and
+    returns None for the g-side outputs.
     """
     n = dataset.n
     xz = np.column_stack([np.ones(n)] + [dataset.covariates[nm] for nm in x_z])
@@ -94,7 +94,7 @@ def loop_impute(theta, variant, dataset, k, z_model, x_z, z_grid,
         for ig, gv in enumerate(g_grid):
             unit_mg[ig] = cell(dataset.z, gv, phi_obs, normal_density(gv, gmean_obs, sigma_g))
     marginal_g = None if unit_mg is None else unit_mg.mean(axis=1)
-    return surface, unit_mz.mean(axis=1), marginal_g, unit_mz, unit_mg
+    return surface, unit_mz.mean(axis=1), marginal_g
 
 
 def moment_skewness(x):

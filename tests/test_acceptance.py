@@ -15,10 +15,11 @@ import pytest
 from netjps import synth
 from netjps.bootstrap import bootstrap_drf
 from netjps.cli import main
+from netjps.dataset import PanelDataset, attach_exposure
 from netjps.io import read_json
 from netjps.jps import ContrastSpec, GridPolicy, JpsConfig, effects, run_jps, run_naive
 from netjps.linear_model import fit_ols
-from netjps.network import build_adjacency, exposure
+from netjps.network import build_adjacency
 from netjps.transforms import boxcox_zero_skew, skewness
 
 from oracles import dense_pipeline, loop_exposure, normal_equations_ols
@@ -35,6 +36,14 @@ def criterion(n, desc):
 
 
 # ---------------------------------------------------------------- criterion 1
+
+def exposure(adj, z, mode="plain"):
+    """attach_exposure on one row per key of z, returned keyed like z."""
+    keys = list(z)
+    ds = PanelDataset(units=[u for u, _ in keys], periods=[p for _, p in keys],
+                      y=np.zeros(len(keys)), z=[z[k] for k in keys], covariates={})
+    return dict(zip(keys, attach_exposure(ds, adj, mode).g))
+
 
 def test_criterion_1_exposure_exactness():
     with criterion(1, "exposure exactness (hand cases 1e-12, 200-graph oracle, < 1 s)"):
@@ -142,7 +151,6 @@ def confounded_study():
     cfg = JpsConfig(
         x_z=sc.covariate_names(), x_g=sc.covariate_names(),
         grid=GridPolicy(z_values=tuple(z_grid), g_values=tuple(g_grid)),
-        retain_unit_level=False,
     )
     rows = []
     for rep in range(1, N_REPLICATES + 1):
@@ -202,8 +210,9 @@ def test_criterion_6_bootstrap_determinism():
         ds, _ = synth.generate(sc)
         cfg = JpsConfig(x_z=sc.covariate_names(), x_g=sc.covariate_names(),
                         grid=GridPolicy(n_z=6, n_g=5))
-        b1 = bootstrap_drf(ds, cfg, b=30, seed=123)
-        b2 = bootstrap_drf(ds, cfg, b=30, seed=123)
+        point = run_jps(ds, cfg).drf
+        b1 = bootstrap_drf(ds, cfg, point, b=30, seed=123)
+        b2 = bootstrap_drf(ds, cfg, point, b=30, seed=123)
         assert np.array_equal(b1.surface_lo, b2.surface_lo)
         assert np.array_equal(b1.surface_hi, b2.surface_hi)
         assert np.array_equal(b1.marginal_z_lo, b2.marginal_z_lo)
@@ -225,13 +234,12 @@ def test_criterion_6_bootstrap_coverage():
         cfg = JpsConfig(
             x_z=sc.covariate_names(), x_g=sc.covariate_names(),
             grid=GridPolicy(z_values=tuple(z_points), g_values=tuple(g_grid)),
-            retain_unit_level=False,
         )
         hits = np.zeros(5)
         datasets = 100
         for t in range(datasets):
             ds, _ = synth.generate(replace(sc, seed=20_000 + t))
-            bands = bootstrap_drf(ds, cfg, b=200, seed=t)
+            bands = bootstrap_drf(ds, cfg, run_jps(ds, cfg).drf, b=200, seed=t)
             hits += (bands.marginal_z_lo <= oracle.marginal_z) & (
                 oracle.marginal_z <= bands.marginal_z_hi
             )

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from netjps.bootstrap import bootstrap_drf
 from netjps.errors import BootstrapError, InputError, SingularDesignError
-from netjps.jps import GridPolicy, JpsConfig
+from netjps.jps import GridPolicy, JpsConfig, run_jps, run_naive
 from netjps import bootstrap as bootstrap_mod
 from netjps.synth import OutcomeRule, Scenario, generate, scenario_quadratic
 
@@ -21,23 +21,23 @@ def small_panel(seed=0, n_units=120, **kw):
     ds, _ = generate(sc)
     cfg = JpsConfig(x_z=sc.covariate_names(), x_g=sc.covariate_names(),
                     grid=GridPolicy(n_z=6, n_g=5))
-    return ds, cfg
+    return ds, cfg, run_jps(ds, cfg).drf
 
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
-        ds, cfg = small_panel()
-        b1 = bootstrap_drf(ds, cfg, b=25, seed=42)
-        b2 = bootstrap_drf(ds, cfg, b=25, seed=42)
+        ds, cfg, point = small_panel()
+        b1 = bootstrap_drf(ds, cfg, point, b=25, seed=42)
+        b2 = bootstrap_drf(ds, cfg, point, b=25, seed=42)
         assert np.array_equal(b1.surface_lo, b2.surface_lo)
         assert np.array_equal(b1.surface_hi, b2.surface_hi)
         assert np.array_equal(b1.marginal_z_lo, b2.marginal_z_lo)
         assert np.array_equal(b1.marginal_g_hi, b2.marginal_g_hi)
 
     def test_different_seed_differs(self):
-        ds, cfg = small_panel()
-        b1 = bootstrap_drf(ds, cfg, b=25, seed=42)
-        b2 = bootstrap_drf(ds, cfg, b=25, seed=43)
+        ds, cfg, point = small_panel()
+        b1 = bootstrap_drf(ds, cfg, point, b=25, seed=42)
+        b2 = bootstrap_drf(ds, cfg, point, b=25, seed=43)
         assert not np.array_equal(b1.marginal_z_lo, b2.marginal_z_lo)
 
 
@@ -45,11 +45,11 @@ class TestBands:
     def test_noiseless_outcome_gives_zero_width(self):
         # y exactly in the span of the (z, g) design columns: every replicate
         # reproduces the same surface
-        ds, cfg = small_panel(
+        ds, cfg, point = small_panel(
             outcome=OutcomeRule(intercept=1.0, z=1.0, z2=-0.2, g=0.5),
             outcome_sd=0.0, n_units=150,
         )
-        bands = bootstrap_drf(ds, cfg, b=50, seed=7)
+        bands = bootstrap_drf(ds, cfg, point, b=50, seed=7)
         inner = slice(1, -1)
         assert np.max(bands.surface_hi[inner, inner] - bands.surface_lo[inner, inner]) < 1e-6
         # marginals keep width from the resampled exposure distribution, but
@@ -57,74 +57,63 @@ class TestBands:
         assert np.max(bands.marginal_z_hi - bands.marginal_z_lo) < 0.05
 
     def test_wider_level_never_narrower(self):
-        ds, cfg = small_panel(seed=3)
-        b95 = bootstrap_drf(ds, cfg, b=40, seed=9, level=0.95)
-        b99 = bootstrap_drf(ds, cfg, b=40, seed=9, level=0.99)
+        ds, cfg, point = small_panel(seed=3)
+        b95 = bootstrap_drf(ds, cfg, point, b=40, seed=9, level=0.95)
+        b99 = bootstrap_drf(ds, cfg, point, b=40, seed=9, level=0.99)
         assert np.all(b99.surface_lo <= b95.surface_lo + 1e-15)
         assert np.all(b99.surface_hi >= b95.surface_hi - 1e-15)
         assert np.all(b99.marginal_z_lo <= b95.marginal_z_lo + 1e-15)
         assert np.all(b99.marginal_z_hi >= b95.marginal_z_hi - 1e-15)
 
     def test_band_order_and_point_inside_mostly(self):
-        ds, cfg = small_panel(seed=5)
-        bands = bootstrap_drf(ds, cfg, b=30, seed=1)
+        ds, cfg, point = small_panel(seed=5)
+        bands = bootstrap_drf(ds, cfg, point, b=30, seed=1)
         assert np.all(bands.surface_lo <= bands.surface_hi)
         assert np.all(bands.marginal_z_lo <= bands.marginal_z_hi)
         assert bands.b_effective + bands.failures == bands.b
 
     def test_naive_variant_has_no_surface(self):
-        ds, cfg = small_panel(seed=6)
-        bands = bootstrap_drf(ds, cfg, b=20, seed=2, variant="without_interference")
+        ds, cfg, _ = small_panel(seed=6)
+        bands = bootstrap_drf(ds, cfg, run_naive(ds, cfg).drf, b=20, seed=2)
         assert bands.surface_lo is None and bands.marginal_g_lo is None
         assert bands.marginal_z_lo.shape == bands.marginal_z.shape
 
 
 class TestFailureHandling:
     def test_validation(self):
-        ds, cfg = small_panel()
+        ds, cfg, point = small_panel()
         with pytest.raises(InputError, match="B >= 2"):
-            bootstrap_drf(ds, cfg, b=1, seed=0)
+            bootstrap_drf(ds, cfg, point, b=1, seed=0)
         with pytest.raises(InputError, match="level"):
-            bootstrap_drf(ds, cfg, b=5, seed=0, level=1.5)
-        with pytest.raises(InputError, match="variant"):
-            bootstrap_drf(ds, cfg, b=5, seed=0, variant="sideways")
+            bootstrap_drf(ds, cfg, point, b=5, seed=0, level=1.5)
 
     def test_failed_replicates_counted(self, monkeypatch):
-        ds, cfg = small_panel()
+        ds, cfg, point = small_panel()
         real = bootstrap_mod.run_jps
         calls = {"n": 0}
 
         def flaky(dataset, config):
             calls["n"] += 1
-            if calls["n"] in (3, 5):  # point estimate is call 1
+            if calls["n"] in (2, 4):  # replicates 1 and 3
                 raise SingularDesignError("synthetic failure", columns=("x0",))
             return real(dataset, config)
 
         monkeypatch.setattr(bootstrap_mod, "run_jps", flaky)
-        bands = bootstrap_drf(ds, cfg, b=20, seed=11)
+        bands = bootstrap_drf(ds, cfg, point, b=20, seed=11)
         assert bands.failures == 2
         assert bands.b_effective == 18
         assert bands.b_effective + bands.failures == bands.b
         assert {r for r, _, _ in bands.failure_log} == {1, 3}
 
     def test_too_many_failures_abort(self, monkeypatch):
-        ds, cfg = small_panel()
+        ds, cfg, point = small_panel()
 
         def broken(dataset, config):
             raise SingularDesignError("synthetic failure", columns=("x0",))
 
-        point = bootstrap_mod.run_jps(ds, replace(cfg, retain_unit_level=False))
-        calls = {"n": 0}
-
-        def mostly_broken(dataset, config):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return point
-            return broken(dataset, config)
-
-        monkeypatch.setattr(bootstrap_mod, "run_jps", mostly_broken)
+        monkeypatch.setattr(bootstrap_mod, "run_jps", broken)
         with pytest.raises(BootstrapError, match="failed"):
-            bootstrap_drf(ds, cfg, b=10, seed=3)
+            bootstrap_drf(ds, cfg, point, b=10, seed=3)
 
 
 @pytest.mark.slow
@@ -141,7 +130,7 @@ def test_interval_coverage_small():
         ds, _ = generate(replace(sc, seed=1000 + t))
         cfg = JpsConfig(x_z=sc.covariate_names(), x_g=sc.covariate_names(),
                         grid=GridPolicy(z_values=tuple(z_points), g_values=None))
-        bands = bootstrap_drf(ds, cfg, b=100, seed=t)
+        bands = bootstrap_drf(ds, cfg, run_jps(ds, cfg).drf, b=100, seed=t)
         hits += (bands.marginal_z_lo <= oracle.marginal_z) & (
             oracle.marginal_z <= bands.marginal_z_hi
         )

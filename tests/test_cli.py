@@ -92,6 +92,10 @@ class TestConfig:
             parse_config("effects.z_pairs = 1-2")
         with pytest.raises(ConfigError, match="n_units"):
             parse_config("scenario.seed = 3")
+        with pytest.raises(ConfigError, match=r":1: neighborhood\.n: unknown summarizer"):
+            parse_config("neighborhood.n = median:in:v")
+        with pytest.raises(ConfigError, match=r":1: neighborhood\.n: unknown direction"):
+            parse_config("neighborhood.n = sum:sideways:v")
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -190,6 +194,40 @@ class TestCommands:
         assert (rundir / "naive_marginal_z.csv").exists()
         naive = read_json(rundir / "naive_drf.json")
         assert naive["surface"] is None and naive["marginal_z"] is not None
+
+    def test_drf_runs_each_pipeline_once_outside_the_bootstrap(self, simulated, tmp_path,
+                                                                monkeypatch):
+        from netjps import bootstrap as bootstrap_mod
+        from netjps import jps
+        from netjps.dataset import PanelDataset
+
+        resamples = []
+        subset = PanelDataset.subset
+
+        def recording_subset(self, idx):
+            resamples.append(subset(self, idx))
+            return resamples[-1]
+
+        monkeypatch.setattr(PanelDataset, "subset", recording_subset)
+        point_runs = {"run_jps": 0, "run_naive": 0}
+        for module in (jps, bootstrap_mod):
+            for name in point_runs:
+                def counted(dataset, config, real=getattr(module, name), name=name):
+                    if not any(dataset is r for r in resamples):
+                        point_runs[name] += 1
+                    return real(dataset, config)
+
+                monkeypatch.setattr(module, name, counted)
+
+        rundir = tmp_path / "once"
+        runfile = write(tmp_path / "run.cfg", RUN_CONFIG.format(
+            panel=simulated / "panel.csv", edges=simulated / "edges.csv",
+            out=rundir, variant="both", b=5,
+        ))
+        assert main(["drf", "--config", runfile]) == 0
+        assert point_runs == {"run_jps": 1, "run_naive": 1}
+        assert len(resamples) == 10
+        assert read_json(rundir / "naive_drf.json")["bands"]["b_effective"] == 5
 
     def test_emitted_csvs_are_reingestible(self, simulated, tmp_path):
         from netjps.io import read_table

@@ -14,8 +14,6 @@ from netjps.jps import (
     fit_outcome,
     fit_treatment_models,
     impute_drf,
-    marginals,
-    naive_drf,
     predict_scores,
     run_jps,
     run_naive,
@@ -203,22 +201,6 @@ class TestImputeAndMarginals:
         res2 = run_jps(ds.subset(perm), config_for(ds, grid))
         assert np.allclose(res1.drf.surface, res2.drf.surface, atol=1e-9)
 
-    def test_marginals_exact_arithmetic_consistency(self):
-        ds = make_dataset(n=300, seed=31)
-        res = run_jps(ds, config_for(ds, GridPolicy(n_z=6, n_g=5)))
-        mu_z, mu_g = marginals(res.drf, ds)
-        assert np.array_equal(mu_z, res.drf.marginal_z)
-        assert np.array_equal(mu_g, res.drf.marginal_g)
-        assert np.array_equal(mu_z, [row.mean() for row in res.drf.unit_marginal_z])
-        assert np.array_equal(mu_g, [row.mean() for row in res.drf.unit_marginal_g])
-
-    def test_marginals_require_retention(self):
-        ds = make_dataset(n=200, seed=31)
-        res = run_jps(ds, replace(config_for(ds), retain_unit_level=False))
-        assert res.drf.unit_marginal_z is None
-        with pytest.raises(InputError, match="retained"):
-            marginals(res.drf, ds)
-
     def test_matches_per_cell_loop_oracle(self):
         ds = make_dataset(n=500, seed=83)
         cfg = config_for(ds, GridPolicy(n_z=7, n_g=6))
@@ -226,8 +208,7 @@ class TestImputeAndMarginals:
         want = loop_impute(res.outcome.fit.theta, "with_interference", ds, res.gps.boxcox.k,
                            res.gps.z_model, cfg.x_z, res.drf.z_grid,
                            res.gps.g_model, cfg.x_g, res.drf.g_grid)
-        got = (res.drf.surface, res.drf.marginal_z, res.drf.marginal_g,
-               res.drf.unit_marginal_z, res.drf.unit_marginal_g)
+        got = (res.drf.surface, res.drf.marginal_z, res.drf.marginal_g)
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
 
@@ -235,21 +216,10 @@ class TestImputeAndMarginals:
         ds = make_dataset(n=500, seed=83)
         cfg = config_for(ds, GridPolicy(n_z=7))
         res = run_naive(ds, cfg)
-        _, mz, mg, umz, umg = loop_impute(res.outcome.fit.theta, "without_interference", ds,
-                                          res.boxcox.k, res.z_model, cfg.x_z, res.drf.z_grid)
-        assert mg is None and umg is None
-        for a, b in ((res.drf.marginal_z, mz), (res.drf.unit_marginal_z, umz)):
-            assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
-
-    @pytest.mark.parametrize("run", [run_jps, run_naive])
-    def test_unit_level_retention_leaves_curves_bit_identical(self, run):
-        ds = make_dataset(n=400, seed=89)
-        cfg = config_for(ds, GridPolicy(n_z=6, n_g=5))
-        kept = run(ds, cfg).drf
-        dropped = run(ds, replace(cfg, retain_unit_level=False)).drf
-        for name in ("surface", "marginal_z", "marginal_g"):
-            a, b = getattr(kept, name), getattr(dropped, name)
-            assert (a is None and b is None) or np.array_equal(a, b)
+        _, mz, mg = loop_impute(res.outcome.fit.theta, "without_interference", ds,
+                                res.boxcox.k, res.z_model, cfg.x_z, res.drf.z_grid)
+        assert mg is None
+        assert np.max(np.abs(res.drf.marginal_z - mz)) < 1e-12 * max(1.0, np.max(np.abs(mz)))
 
     def test_affine_outcome_equivariance(self):
         ds = make_dataset(n=400, seed=37)
@@ -354,7 +324,7 @@ class TestNaive:
 
     def test_naive_drf_defaults_and_shape(self):
         ds = make_dataset(n=300, seed=67)
-        drf = naive_drf(ds, GridPolicy(n_z=7))
+        drf = run_naive(ds, config_for(ds, GridPolicy(n_z=7))).drf
         assert drf.surface is None and drf.g_grid is None and drf.marginal_g is None
         assert drf.marginal_z.shape == (7,)
         assert drf.meta["variant"] == "without_interference"
@@ -364,17 +334,18 @@ class TestNaive:
         ds = make_dataset(n=300, seed=71, g_rule=lambda z, x, rng: np.zeros(z.shape[0]))
         with pytest.raises(DegenerateExposureError):
             fit_treatment_models(ds, config_for(ds))
-        drf = naive_drf(ds)
+        drf = run_naive(ds, config_for(ds)).drf
         assert np.all(np.isfinite(drf.marginal_z))
 
     def test_constant_outcome_gives_flat_curve(self):
         ds = make_dataset(n=300, seed=79)
-        drf = naive_drf(replace(ds, y=np.full(ds.n, 2.5)))
+        ds = replace(ds, y=np.full(ds.n, 2.5))
+        drf = run_naive(ds, config_for(ds)).drf
         assert np.allclose(drf.marginal_z, 2.5, atol=1e-9)
 
     def test_effects_on_naive_grid(self):
         ds = make_dataset(n=300, seed=73)
-        drf = naive_drf(ds)
+        drf = run_naive(ds, config_for(ds)).drf
         rep = effects(drf)
         assert rep.dg is None and rep.spillover == ()
         with pytest.raises(InputError, match="spillover"):

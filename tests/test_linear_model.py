@@ -5,12 +5,9 @@ from hypothesis import given, strategies as st
 
 from netjps.errors import DomainError, InputError, SingularDesignError
 from netjps.linear_model import (
-    DesignSpec,
-    Term,
     WITH_INTERFERENCE_TERMS,
     WITHOUT_INTERFERENCE_TERMS,
     build_outcome_matrix,
-    build_outcome_row,
     fit_ols,
     normal_density,
 )
@@ -117,14 +114,19 @@ class TestNormalDensity:
             normal_density(0.0, 0.0, sd)
 
 
+def outcome_row(z, g, phi, lam, variant):
+    """The design row of one scalar input set."""
+    return build_outcome_matrix(z, g, phi, lam, variant)[0][0]
+
+
 class TestOutcomeRow:
     def test_zero_inputs(self):
-        row = build_outcome_row(0.0, 0.0, 0.0, 0.0, "with_interference")
+        row = outcome_row(0.0, 0.0, 0.0, 0.0, "with_interference")
         assert row[-1] == 1.0
         assert np.all(row[:-1] == 0.0)
 
     def test_hand_values(self):
-        row = build_outcome_row(1.0, 2.0, 0.0, 0.0, "with_interference")
+        row = outcome_row(1.0, 2.0, 0.0, 0.0, "with_interference")
         names = list(WITH_INTERFERENCE_TERMS)
         assert row[names.index("z*g")] == 2.0
         assert row[names.index("g^3")] == 8.0
@@ -133,8 +135,8 @@ class TestOutcomeRow:
     def test_term_counts(self):
         assert len(WITH_INTERFERENCE_TERMS) == 16
         assert len(WITHOUT_INTERFERENCE_TERMS) == 8
-        assert build_outcome_row(0.5, 0.5, 0.5, 0.5, "with_interference").shape == (16,)
-        assert build_outcome_row(0.5, 0.5, 0.5, 0.5, "without_interference").shape == (8,)
+        assert outcome_row(0.5, 0.5, 0.5, 0.5, "with_interference").shape == (16,)
+        assert outcome_row(0.5, 0.5, 0.5, 0.5, "without_interference").shape == (8,)
 
     def test_matrix_matches_rows(self):
         rng = np.random.default_rng(2)
@@ -143,7 +145,7 @@ class TestOutcomeRow:
         assert mat.shape == (7, 16)
         for i in range(7):
             assert np.array_equal(
-                mat[i], build_outcome_row(z[i], g[i], phi[i], lam[i], "with_interference")
+                mat[i], outcome_row(z[i], g[i], phi[i], lam[i], "with_interference")
             )
 
     def test_without_variant_ignores_g_lambda(self):
@@ -153,36 +155,8 @@ class TestOutcomeRow:
 
     def test_unknown_variant(self):
         with pytest.raises(InputError):
-            build_outcome_row(0, 0, 0, 0, "sideways")
+            outcome_row(0, 0, 0, 0, "sideways")
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
-            build_outcome_row(np.nan, 0, 0, 0, "with_interference")
-
-
-class TestDesignSpec:
-    def test_build_and_names(self):
-        spec = DesignSpec(
-            terms=(
-                Term("raw", ("a",)),
-                Term("power2", ("a",)),
-                Term("interaction", ("a", "b")),
-            )
-        )
-        cols = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
-        x, names = spec.build(cols)
-        assert names == ("a", "a^2", "a*b", "const")
-        assert np.array_equal(x, np.array([[1, 1, 3, 1], [2, 4, 8, 1]], dtype=float))
-
-    def test_duplicate_terms_rejected(self):
-        with pytest.raises(InputError, match="duplicate"):
-            DesignSpec(terms=(Term("raw", ("a",)), Term("raw", ("a",))))
-
-    def test_missing_column_rejected(self):
-        spec = DesignSpec(terms=(Term("raw", ("zzz",)),))
-        with pytest.raises(InputError, match="missing column"):
-            spec.build({"a": np.ones(3)})
-
-    def test_bad_term_kind(self):
-        with pytest.raises(InputError):
-            Term("quartic", ("a",))
+            outcome_row(np.nan, 0, 0, 0, "with_interference")

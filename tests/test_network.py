@@ -6,15 +6,21 @@ from netjps.errors import DegenerateNormalizerError, InputError
 from netjps.network import (
     NeighborhoodSummarySpec,
     build_adjacency,
-    degree,
-    exposure,
     neighborhood_covariate,
 )
-from netjps.dataset import PanelDataset
+from netjps.dataset import PanelDataset, attach_exposure
 
 from oracles import loop_exposure
 
 NODES3 = [("A", 2000), ("B", 2000), ("C", 2000)]
+
+
+def exposure(adj, z, mode="plain"):
+    """attach_exposure on one row per key of z, returned keyed like z."""
+    keys = list(z)
+    ds = PanelDataset(units=[u for u, _ in keys], periods=[p for _, p in keys],
+                      y=np.zeros(len(keys)), z=[z[k] for k in keys], covariates={})
+    return dict(zip(keys, attach_exposure(ds, adj, mode).g))
 
 
 def test_empty_graph_is_valid():
@@ -86,23 +92,40 @@ def test_trade_normalized_degenerate():
 
 def test_exposure_missing_treatment():
     adj = build_adjacency([], NODES3)
-    with pytest.raises(InputError, match="missing"):
+    with pytest.raises(InputError, match="no row"):
         exposure(adj, {("A", 2000): 1.0})
 
 
 def test_degree_cases():
-    nodes = [(u, 1) for u in "CABDE"]
+    # the count summarizer: distinct neighbors with nonzero weight
+    units = "CABDE"
+    ds = PanelDataset(units=list(units), periods=[1] * 5, y=np.zeros(5), z=np.ones(5),
+                      covariates={"v": np.zeros(5)})
+
+    def degree(adj, unit, direction):
+        spec = NeighborhoodSummarySpec(covariate="v", summarizer="count", direction=direction)
+        return neighborhood_covariate(adj, ds, spec)[0][units.index(unit)]
+
+    nodes = [(u, 1) for u in units]
     star = [("C", u, 1, 1.0) for u in "ABDE"]
     adj = build_adjacency(star, nodes)
-    assert degree(adj, "C", 1, "out") == 4
-    assert degree(adj, "C", 1, "in") == 0
-    assert degree(adj, "A", 1, "in") == 1
+    assert degree(adj, "C", "out") == 4
+    assert degree(adj, "C", "in") == 0
+    assert degree(adj, "A", "in") == 1
     iso = build_adjacency([], nodes)
-    assert degree(iso, "A", 1, "out") == 0
+    assert degree(iso, "A", "out") == 0
     dup = build_adjacency([("C", "A", 1, 1.0), ("C", "A", 1, 3.0)], nodes)
-    assert degree(dup, "C", 1, "out") == 1
-    with pytest.raises(InputError):
-        degree(adj, "Z", 1, "out")
+    assert degree(dup, "C", "out") == 1
+
+
+def test_registry_keeps_first_appearance_order():
+    nodes = [("B", 1), ("A", 2), ("A", 1), ("B", 1), ("C", 2), ("A", 2), ("A", 1), ("C", 1)]
+    adj = build_adjacency([("A", "B", 1, 1.0)], nodes)
+    assert adj.periods == (1, 2)
+    assert adj.block(1).units == ("B", "A", "C")
+    assert adj.block(2).units == ("A", "C")
+    assert adj.block(1).index == {"B": 0, "A": 1, "C": 2}
+    assert adj.block(1).w[0, 1] == 1.0
 
 
 def _dataset3(values):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from netjps.errors import InputError
-from netjps.network import degree
 from netjps.synth import (
     OutcomeRule,
     Scenario,
@@ -55,9 +54,9 @@ class TestGenerate:
     def test_complete_graph_degrees(self):
         sc = small_scenario(n_units=5, n_periods=1, edge_prob=1.0)
         _, adj = generate(sc)
-        for u in range(5):
-            assert degree(adj, u, 0, "out") == 4
-            assert degree(adj, u, 0, "in") == 4
+        w = adj.block(0).w
+        assert np.array_equal(np.count_nonzero(w, axis=0), np.full(5, 4))  # out-degrees
+        assert np.array_equal(np.count_nonzero(w, axis=1), np.full(5, 4))  # in-degrees
 
     def test_treatments_positive(self):
         ds, _ = generate(small_scenario(seed=99))
