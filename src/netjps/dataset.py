@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, UnboundColumnError
-from .network import EXPOSURE_MODES, _block_exposure, neighborhood_covariate
+from .network import exposure, neighborhood_covariate
 
 
 @dataclass(frozen=True)
@@ -98,33 +98,8 @@ def check_unique_keys(dataset):
 
 
 def attach_exposure(dataset, adj, mode="plain"):
-    """Compute neighborhood exposures for every row and return a new dataset.
-
-    Plain mode computes G_i = (1/N) sum_j w_ij z_j with N the number of units
-    in i's period block; trade-normalized mode additionally divides by the
-    period's mean nonzero weight.  Every dataset row must be registered in
-    ``adj`` and vice versa.
-    """
-    if mode not in EXPOSURE_MODES:
-        raise InputError(f"unknown exposure mode {mode!r}")
-    rows_by_period = {}
-    for row, (unit, period) in enumerate(zip(dataset.units, dataset.periods)):
-        rows_by_period.setdefault(period, {})[unit] = row
-
-    g = np.empty(dataset.n)
-    for period, rows in rows_by_period.items():
-        block = adj.block(period)
-        zvec = np.empty(len(block.units))
-        for k, unit in enumerate(block.units):
-            if unit not in rows:
-                raise InputError(f"dataset has no row for unit {unit!r} in period {period!r}")
-            zvec[k] = dataset.z[rows[unit]]
-        gvec = _block_exposure(block.w, zvec, mode)
-        for unit, row in rows.items():
-            if unit not in block.index:
-                raise InputError(f"unit {unit!r} not registered in period {period!r}")
-            g[row] = gvec[block.index[unit]]
-    return replace(dataset, g=g)
+    """Return a new dataset with :func:`netjps.network.exposure` attached as ``g``."""
+    return replace(dataset, g=exposure(adj, dataset, mode))
 
 
 def add_neighborhood_covariate(dataset, adj, spec):

@@ -8,6 +8,7 @@ digits.  The JSON result document keeps full precision.
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -50,7 +51,7 @@ def _parse_float(path, line_num, column, text):
         v = float(text)
     except ValueError:
         raise InputError(f"{path}: row {line_num}: invalid number {text!r} in column {column!r}") from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise InputError(f"{path}: row {line_num}: non-finite value in column {column!r}")
     return v
 

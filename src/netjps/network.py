@@ -7,14 +7,18 @@ the stored matrix has ``w[i, j]`` equal to the weight of the edge j -> i,
 i.e. row i collects what unit i *receives*; exposure therefore aggregates
 over in-edges, while covariate summaries can use either direction.
 
-:class:`AdjacencyView` is immutable after construction (the weight matrices
-are marked read-only), so all operations here are safe to call concurrently.
+Each ``w`` is a ``scipy.sparse`` CSR array with duplicate edges summed and no
+stored zeros; only this module reads it.  :class:`AdjacencyView` is immutable
+after construction (the CSR arrays are write-protected), so all operations
+here are safe to call concurrently.
 """
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.sparse import coo_array, csr_array
 
 from .errors import DegenerateNormalizerError, InputError
 
@@ -63,7 +67,7 @@ class NeighborhoodSummarySpec:
 class PeriodBlock:
     units: tuple
     index: dict
-    w: np.ndarray  # w[i, j] = summed weight of edges j -> i
+    w: csr_array  # w[i, j] = summed weight of edges j -> i; no stored zeros, read-only
 
 
 @dataclass(frozen=True)
@@ -84,16 +88,16 @@ class AdjacencyView:
             raise InputError(f"unknown period {period!r}") from None
 
     def n_edges(self):
-        return sum(int(np.count_nonzero(b.w)) for b in self.blocks.values())
+        return sum(b.w.nnz for b in self.blocks.values())
 
     def edge_records(self):
         """Canonical (source, target, period, weight) tuples, target-major."""
         out = []
         for period in self.periods:
             b = self.blocks[period]
-            rows, cols = np.nonzero(b.w)
-            for i, j in zip(rows, cols):
-                out.append((b.units[j], b.units[i], period, float(b.w[i, j])))
+            targets = np.repeat(np.arange(len(b.units)), np.diff(b.w.indptr))
+            for i, j, weight in zip(targets.tolist(), b.w.indices.tolist(), b.w.data.tolist()):
+                out.append((b.units[j], b.units[i], period, weight))
         return out
 
 
@@ -113,54 +117,90 @@ def build_adjacency(edges, nodes):
         On self-loops, unregistered unit ids, or negative/non-finite weights.
     """
     # insertion-ordered dicts: first appearance fixes the order, repeats are free
-    units_by_period = {}
+    index_by_period = {}
     for unit, period in nodes:
-        units_by_period.setdefault(period, {})[unit] = None
-
-    blocks = {}
-    for period, registered in units_by_period.items():
-        units = tuple(registered)
-        index = {u: k for k, u in enumerate(units)}
-        w = np.zeros((len(units), len(units)))
-        blocks[period] = PeriodBlock(units=units, index=index, w=w)
+        index = index_by_period.setdefault(period, {})
+        index.setdefault(unit, len(index))
+    entries = {period: [] for period in index_by_period}  # (target, source, weight)
 
     for source, target, period, weight in edges:
         weight = float(weight)
-        if not np.isfinite(weight) or weight < 0:
+        if not math.isfinite(weight) or weight < 0:
             raise InputError(
                 f"edge ({source!r}, {target!r}, {period!r}): weight must be finite and >= 0, got {weight}"
             )
         if source == target:
             raise InputError(f"self-loop on unit {source!r} in period {period!r}")
-        block = blocks.get(period)
-        if block is None:
+        index = index_by_period.get(period)
+        if index is None:
             raise InputError(f"edge references unregistered period {period!r}")
         try:
-            i = block.index[target]
-            j = block.index[source]
+            entries[period].append((index[target], index[source], weight))
         except KeyError as exc:
             raise InputError(
                 f"edge ({source!r}, {target!r}, {period!r}) references unregistered unit {exc.args[0]!r}"
             ) from None
-        block.w[i, j] += weight
 
-    for block in blocks.values():
-        block.w.setflags(write=False)
-    return AdjacencyView(periods=tuple(units_by_period), blocks=blocks)
+    blocks = {}
+    for period, index in index_by_period.items():
+        ijw = np.array(entries[period], dtype=float).reshape(-1, 3)  # positions are exact in float64
+        w = coo_array((ijw[:, 2], (ijw[:, 0].astype(np.int64), ijw[:, 1].astype(np.int64))),
+                      shape=(len(index), len(index))).tocsr()
+        w.sum_duplicates()
+        w.eliminate_zeros()
+        for arr in (w.data, w.indices, w.indptr):
+            arr.setflags(write=False)
+        blocks[period] = PeriodBlock(units=tuple(index), index=index, w=w)
+    return AdjacencyView(periods=tuple(index_by_period), blocks=blocks)
 
 
-def _block_exposure(w, zvec, mode):
-    n = zvec.shape[0]
-    raw = w @ zvec
-    if mode == "plain":
-        return raw / n
-    positive = w[w > 0]
-    if positive.size == 0:
-        raise DegenerateNormalizerError(
-            "trade-normalized exposure needs at least one nonzero weight in the period"
-        )
-    s = positive.mean()
-    return raw / (n * s)
+def _aligned_blocks(adj, dataset):
+    """Yield (block, rows) for each period that has dataset rows.
+
+    ``rows[k]`` is the dataset row of the block's k-th unit.  Each dataset
+    row must be a distinct (unit, period) registered in ``adj``, and each
+    registered unit of such a period must have a row.
+    """
+    rows_by_period = {}
+    for row, key in enumerate(zip(dataset.units.tolist(), dataset.periods.tolist())):
+        unit, period = key
+        rows = rows_by_period.setdefault(period, {})
+        if unit in rows:
+            raise InputError(f"duplicate (unit, period) key {key!r} at rows {rows[unit]} and {row}")
+        rows[unit] = row
+    for period, rows in rows_by_period.items():
+        block = adj.block(period)
+        try:
+            positions = np.array([rows[u] for u in block.units], dtype=np.intp)
+        except KeyError as exc:
+            raise InputError(f"dataset has no row for unit {exc.args[0]!r} in period {period!r}") from None
+        if len(rows) > len(positions):
+            unit = next(u for u in rows if u not in block.index)
+            raise InputError(f"unknown unit {unit!r}: not registered in period {period!r}")
+        yield block, positions
+
+
+def exposure(adj, dataset, mode="plain"):
+    """Neighborhood exposure G per dataset row.
+
+    Plain mode computes G_i = (1/N) sum_j w_ij z_j with N the number of units
+    in i's period block; trade-normalized mode additionally divides by the
+    period's mean nonzero weight.
+    """
+    if mode not in EXPOSURE_MODES:
+        raise InputError(f"unknown exposure mode {mode!r}")
+    g = np.empty(dataset.n)
+    for block, rows in _aligned_blocks(adj, dataset):
+        w = block.w
+        scale = w.shape[0]
+        if mode == "trade_normalized":
+            if w.nnz == 0:
+                raise DegenerateNormalizerError(
+                    "trade-normalized exposure needs at least one nonzero weight in the period"
+                )
+            scale *= w.data.mean()
+        g[rows] = (w @ dataset.z[rows]) / scale
+    return g
 
 
 def neighborhood_covariate(adj, dataset: "PanelDataset", spec):
@@ -178,35 +218,17 @@ def neighborhood_covariate(adj, dataset: "PanelDataset", spec):
         raise InputError(f"neighborhood spec references missing covariate {spec.covariate!r}")
     x = dataset.covariates[spec.covariate]
 
-    by_period = {}
-    for row, (unit, period) in enumerate(zip(dataset.units, dataset.periods)):
-        by_period.setdefault(period, {})[unit] = row
-
     values = np.zeros(dataset.n)
     isolated = np.zeros(dataset.n, dtype=bool)
-    for period, rows in by_period.items():
-        block = adj.block(period)
-        xvec = np.empty(len(block.units))
-        for k, unit in enumerate(block.units):
-            if unit not in rows:
-                raise InputError(
-                    f"dataset has no row for unit {unit!r} in period {period!r}"
-                )
-            xvec[k] = x[rows[unit]]
-        for unit, row in rows.items():
-            if unit not in block.index:
-                raise InputError(f"unknown unit {unit!r} in period {period!r}")
-            i = block.index[unit]
-            wvec = block.w[i, :] if spec.direction == "in" else block.w[:, i]
-            if spec.summarizer == "count":
-                values[row] = np.count_nonzero(wvec)
-            elif spec.summarizer == "sum":
-                values[row] = wvec @ xvec
-            else:
-                total = wvec.sum()
-                if total > 0:
-                    values[row] = (wvec @ xvec) / total
-                else:
-                    values[row] = 0.0
-                    isolated[row] = True
+    for block, rows in _aligned_blocks(adj, dataset):
+        w = block.w if spec.direction == "in" else block.w.T.tocsr()
+        if spec.summarizer == "count":
+            values[rows] = np.diff(w.indptr)
+        elif spec.summarizer == "sum":
+            values[rows] = w @ x[rows]
+        else:
+            total = w @ np.ones(w.shape[0])
+            empty = total == 0
+            values[rows] = np.divide(w @ x[rows], total, out=np.zeros_like(total), where=~empty)
+            isolated[rows] = empty
     return values, isolated

@@ -1,10 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 Everything here recomputes pipeline quantities by a different route: plain
-Python loops for exposures, explicit normal equations for least squares,
-series/continued-fraction evaluation for the incomplete gamma, a per-cell
-design-matrix loop for grid imputation, and a 50-digit mpmath re-derivation
-of the whole estimation pipeline.
+Python loops for exposures and neighbor summaries, explicit normal equations
+for least squares, series/continued-fraction evaluation for the incomplete
+gamma, a per-cell design-matrix loop for grid imputation, and a 50-digit
+mpmath re-derivation of the whole estimation pipeline.
 """
 
 import math
@@ -41,6 +41,35 @@ def loop_exposure(edges, nodes, z, mode="plain"):
                 out[(target, period)] = acc / n
             else:
                 out[(target, period)] = acc / (n * s_norm)
+    return out
+
+
+def loop_neighborhood(edges, nodes, x, summarizer, direction="in"):
+    """Per-unit neighbor summary by direct summation over the edge list.
+
+    ``x`` is keyed by (unit, period).  Returns {(unit, period): (value,
+    isolated)}; only a weighted mean over zero total weight is isolated.
+    """
+    merged = {}
+    for source, target, period, weight in edges:
+        unit, nbr = (target, source) if direction == "in" else (source, target)
+        merged[(unit, nbr, period)] = merged.get((unit, nbr, period), 0.0) + weight
+    out = {}
+    for unit, period in nodes:
+        count, total, acc = 0, 0.0, 0.0
+        for (u, nbr, p), w in merged.items():
+            if u == unit and p == period and w != 0:
+                count += 1
+                total += w
+                acc += w * x[(nbr, period)]
+        if summarizer == "count":
+            out[(unit, period)] = (float(count), False)
+        elif summarizer == "sum":
+            out[(unit, period)] = (acc, False)
+        elif total > 0:
+            out[(unit, period)] = (acc / total, False)
+        else:
+            out[(unit, period)] = (0.0, True)
     return out
 
 

@@ -87,7 +87,7 @@ class TestCsv:
         nodes = list(zip(units, periods))
         adj2 = build_adjacency(edge_records, nodes)
         for period in adj.periods:
-            assert np.array_equal(adj.blocks[period].w, adj2.blocks[str(period)].w)
+            assert np.array_equal(adj.blocks[period].w.toarray(), adj2.blocks[str(period)].w.toarray())
 
     def test_header_required(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -10,7 +10,7 @@ from netjps.network import (
 )
 from netjps.dataset import PanelDataset, attach_exposure
 
-from oracles import loop_exposure
+from oracles import loop_exposure, loop_neighborhood
 
 NODES3 = [("A", 2000), ("B", 2000), ("C", 2000)]
 
@@ -69,6 +69,7 @@ def test_exposure_plain_hand_case():
         [("B", "A", 2000, 2.0), ("C", "A", 2000, 0.0)], NODES3
     )
     z = {("A", 2000): 5.0, ("B", 2000): 1.0, ("C", 2000): 1.0}
+    assert adj.n_edges() == 1
     g = exposure(adj, z, mode="plain")
     assert g[("A", 2000)] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
@@ -280,3 +281,77 @@ def test_adjacency_blocks_are_readonly():
     adj = build_adjacency([("A", "B", 2000, 1.0)], NODES3)
     with pytest.raises(ValueError):
         adj.block(2000).w[0, 0] = 5.0
+
+
+def test_neighborhood_covariate_matches_loop_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(3, 12))
+        nodes, edges = _random_graph(rng, n, periods=(0, 1))
+        # duplicates of existing edges, with fresh weights
+        for k in rng.integers(0, len(edges), size=4):
+            s, t, p, _ = edges[k]
+            edges.append((s, t, p, float(rng.exponential(1.5))))
+        # unit n-1 of period 0 touches only zero-weight edges: isolated both ways
+        edges = [e for e in edges if not (e[2] == 0 and n - 1 in e[:2])]
+        edges += [(0, n - 1, 0, 0.0), (0, n - 1, 0, 0.0), (n - 1, 0, 0, 0.0), (1, 0, 1, 0.0)]
+        adj = build_adjacency(edges, nodes)
+        keys = [nodes[k] for k in rng.permutation(len(nodes))]
+        x = {key: float(rng.normal()) for key in keys}
+        ds = PanelDataset(units=[u for u, _ in keys], periods=[p for _, p in keys],
+                          y=np.zeros(len(keys)), z=np.ones(len(keys)),
+                          covariates={"v": [x[key] for key in keys]})
+        for summarizer in ("weighted_mean", "sum", "count"):
+            for direction in ("in", "out"):
+                spec = NeighborhoodSummarySpec(covariate="v", summarizer=summarizer,
+                                               direction=direction)
+                values, isolated = neighborhood_covariate(adj, ds, spec)
+                want = loop_neighborhood(edges, nodes, x, summarizer, direction)
+                for row, key in enumerate(keys):
+                    assert values[row] == pytest.approx(want[key][0], rel=1e-10, abs=1e-12)
+                    assert isolated[row] == want[key][1]
+                if summarizer == "weighted_mean":
+                    assert isolated[keys.index((n - 1, 0))]
+
+
+def _rows(units, periods):
+    n = len(units)
+    return PanelDataset(units=units, periods=periods, y=np.zeros(n), z=np.ones(n),
+                        covariates={"v": np.arange(n, dtype=float)})
+
+
+ALIGNED_CALLERS = {
+    "attach_exposure": lambda adj, ds: attach_exposure(ds, adj),
+    "neighborhood_covariate": lambda adj, ds: neighborhood_covariate(
+        adj, ds, NeighborhoodSummarySpec(covariate="v")),
+}
+
+
+@pytest.mark.parametrize("call", ALIGNED_CALLERS.values(), ids=ALIGNED_CALLERS.keys())
+def test_duplicate_dataset_rows_rejected(call):
+    adj = build_adjacency([("B", "A", 2000, 3.0)], [("A", 2000), ("B", 2000)])
+    ds = _rows(["A", "A", "B"], [2000] * 3)
+    with pytest.raises(InputError, match=r"duplicate \(unit, period\) key \('A', 2000\) at rows 0 and 1"):
+        call(adj, ds)
+
+
+@pytest.mark.parametrize("call", ALIGNED_CALLERS.values(), ids=ALIGNED_CALLERS.keys())
+def test_alignment_errors(call):
+    adj = build_adjacency([("B", "A", 2000, 3.0)], NODES3)
+    with pytest.raises(InputError, match="'D': not registered in period 2000"):
+        call(adj, _rows(["A", "B", "D", "C"], [2000] * 4))
+    with pytest.raises(InputError, match="unknown period 1999"):
+        call(adj, _rows(["A", "B", "C", "A"], [2000, 2000, 2000, 1999]))
+
+
+def test_sparse_blocks_stay_small():
+    # the dense 3000 x 3000 float matrix would take 72 MB
+    rng = np.random.default_rng(5)
+    n = 3000
+    pairs = rng.integers(0, n, size=(30_000, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    edges = [(int(s), int(t), 0, 1.0) for s, t in pairs]
+    adj = build_adjacency(edges, [(u, 0) for u in range(n)])
+    w = adj.block(0).w
+    assert adj.n_edges() == len({(s, t) for s, t, _, _ in edges})
+    assert w.data.nbytes + w.indices.nbytes + w.indptr.nbytes < 1_000_000

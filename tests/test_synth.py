@@ -54,7 +54,7 @@ class TestGenerate:
     def test_complete_graph_degrees(self):
         sc = small_scenario(n_units=5, n_periods=1, edge_prob=1.0)
         _, adj = generate(sc)
-        w = adj.block(0).w
+        w = adj.block(0).w.toarray()
         assert np.array_equal(np.count_nonzero(w, axis=0), np.full(5, 4))  # out-degrees
         assert np.array_equal(np.count_nonzero(w, axis=1), np.full(5, 4))  # in-degrees
 
