@@ -6,7 +6,8 @@ network from a multiset of nodes is ill-defined), and re-run the full
 pipeline on the grid of the point estimate the caller passes in.  Replicate
 r draws from a stream seeded by (seed, r), so execution order and parallel
 fan-out cannot change the result; replicate outputs are sorted before the
-percentile step.
+percentile step.  The bands hold only the bounds and replicate counts: the
+grids and curves they surround stay in the caller's point estimate.
 """
 
 from dataclasses import dataclass, replace
@@ -21,22 +22,18 @@ _MAX_FAILURE_FRACTION = 0.2
 
 @dataclass
 class BootstrapBands:
-    """Point estimates with percentile bounds per grid point."""
+    """Percentile bounds per grid point of the point estimate's surface and
+    marginals; the bounds of a curve the point estimate lacks are None."""
 
     level: float
     b: int
     b_effective: int
     failures: int
     seed: int
-    z_grid: np.ndarray
-    g_grid: np.ndarray | None
-    surface: np.ndarray | None
     surface_lo: np.ndarray | None
     surface_hi: np.ndarray | None
-    marginal_z: np.ndarray
     marginal_z_lo: np.ndarray
     marginal_z_hi: np.ndarray
-    marginal_g: np.ndarray | None
     marginal_g_lo: np.ndarray | None
     marginal_g_hi: np.ndarray | None
     failure_log: tuple = ()
@@ -113,9 +110,6 @@ def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
 
     return BootstrapBands(
         level=level, b=b, b_effective=b - failures, failures=failures, seed=seed,
-        z_grid=point.z_grid, g_grid=point.g_grid,
-        surface=point.surface, surface_lo=s_lo, surface_hi=s_hi,
-        marginal_z=point.marginal_z, marginal_z_lo=mz_lo, marginal_z_hi=mz_hi,
-        marginal_g=point.marginal_g, marginal_g_lo=mg_lo, marginal_g_hi=mg_hi,
-        failure_log=tuple(failure_log),
+        surface_lo=s_lo, surface_hi=s_hi, marginal_z_lo=mz_lo, marginal_z_hi=mz_hi,
+        marginal_g_lo=mg_lo, marginal_g_hi=mg_hi, failure_log=tuple(failure_log),
     )

@@ -134,66 +134,49 @@ def _fit_summary(cfg, n, result, nres):
 def cmd_fit(cfg):
     dataset, _ = _load_dataset(cfg)
     out = _outdir(cfg)
-    summary = _fit_summary(cfg, dataset.n, *_run_variants(cfg, _jps_config(cfg), dataset))
-    io_mod.write_json(summary, out / "fit_summary.json")
-    for label in ("outcome_model",):
-        if label in summary:
-            terms = summary[label]["terms"]
-            coefs = summary[label]["coefficients"]
-            print(f"{label} ({len(terms)} terms)")
-            for t, b in zip(terms, coefs):
+    result, nres = _run_variants(cfg, _jps_config(cfg), dataset)
+    io_mod.write_json(_fit_summary(cfg, dataset.n, result, nres), out / "fit_summary.json")
+    for label, res in (("outcome_model", result), ("naive outcome_model", nres)):
+        if res is not None:
+            fit = res.outcome.fit
+            print(f"{label} ({len(fit.names)} terms)")
+            for t, b in zip(fit.names, fit.theta):
                 print(f"  {t:<12} {b: .6g}")
     print(f"wrote {out / 'fit_summary.json'}")
     return 0
 
 
 def cmd_drf(cfg):
+    """Write each estimator's curves, bands and effects.
+
+    The first estimator that ran (the joint one when it ran) writes
+    ``drf.json``, ``effects.json`` and ``drf_*.csv``; the naive estimator
+    run beside it writes ``naive_drf.json`` and ``naive_marginal_z.csv``.
+    """
     dataset, _ = _load_dataset(cfg)
     out = _outdir(cfg)
     config = _jps_config(cfg)
     result, nres = _run_variants(cfg, config, dataset)
     io_mod.write_json(_fit_summary(cfg, dataset.n, result, nres), out / "fit_summary.json")
 
-    bands = None
-    if result is not None:
-        drf = result.drf
-        report = jps.effects(drf, cfg.contrasts)
+    drfs = [res.drf for res in (result, nres) if res is not None]
+    for i, drf in enumerate(drfs):
+        stem = "drf" if i == 0 else "naive"
+        with_g = drf.g_grid is not None
+        report = jps.effects(drf, cfg.contrasts if with_g
+                             else jps.ContrastSpec(z_pairs=cfg.contrasts.z_pairs))
+        bands = None
         if cfg.bootstrap.b >= 2:
             bands = bootstrap_mod.bootstrap_drf(dataset, config, drf, cfg.bootstrap.b,
                                                 cfg.bootstrap.seed, level=cfg.bootstrap.level)
-        io_mod.write_drf_surface_csv(drf, out / "drf_surface.csv", bands=bands)
-        io_mod.write_marginal_csv(
-            "z", drf.z_grid, drf.marginal_z, out / "drf_marginal_z.csv",
-            lo=None if bands is None else bands.marginal_z_lo,
-            hi=None if bands is None else bands.marginal_z_hi,
-        )
-        io_mod.write_marginal_csv(
-            "g", drf.g_grid, drf.marginal_g, out / "drf_marginal_g.csv",
-            lo=None if bands is None else bands.marginal_g_lo,
-            hi=None if bands is None else bands.marginal_g_hi,
-        )
-        io_mod.write_json(report.to_payload(), out / "effects.json")
-        io_mod.write_json(io_mod.drf_payload(drf, effects=report, bands=bands), out / "drf.json")
-    if nres is not None:
-        ndrf = nres.drf
-        nbands = None
-        if cfg.bootstrap.b >= 2:
-            nbands = bootstrap_mod.bootstrap_drf(dataset, config, ndrf, cfg.bootstrap.b,
-                                                 cfg.bootstrap.seed, level=cfg.bootstrap.level)
-        name = "drf_marginal_z.csv" if cfg.variant == "naive" else "naive_marginal_z.csv"
-        io_mod.write_marginal_csv(
-            "z", ndrf.z_grid, ndrf.marginal_z, out / name,
-            lo=None if nbands is None else nbands.marginal_z_lo,
-            hi=None if nbands is None else nbands.marginal_z_hi,
-        )
-        nreport = jps.effects(ndrf, jps.ContrastSpec(z_pairs=cfg.contrasts.z_pairs))
-        if cfg.variant == "naive":
-            io_mod.write_json(nreport.to_payload(), out / "effects.json")
-            io_mod.write_json(io_mod.drf_payload(ndrf, effects=nreport, bands=nbands),
-                              out / "drf.json")
-        else:
-            io_mod.write_json(io_mod.drf_payload(ndrf, effects=nreport, bands=nbands),
-                              out / "naive_drf.json")
+        if with_g:
+            io_mod.write_drf_surface_csv(drf, out / f"{stem}_surface.csv", bands=bands)
+        for axis in ("z", "g") if with_g else ("z",):
+            io_mod.write_marginal_csv(drf, axis, out / f"{stem}_marginal_{axis}.csv", bands=bands)
+        if i == 0:
+            io_mod.write_json(report.to_payload(), out / "effects.json")
+        io_mod.write_json(io_mod.drf_payload(drf, effects=report, bands=bands),
+                          out / ("drf.json" if i == 0 else f"{stem}_drf.json"))
     print(f"wrote dose-response outputs to {out}")
     return 0
 

@@ -5,7 +5,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, UnboundColumnError
-from .network import exposure, neighborhood_covariate
+# check_unique_keys is re-exported: ingest checks a panel's keys before it
+# has a graph to align with
+from .network import check_unique_keys, exposure, neighborhood_covariate
 
 
 @dataclass(frozen=True)
@@ -85,16 +87,6 @@ class PanelDataset:
             covariates={k: v[idx] for k, v in self.covariates.items()},
             g=None if self.g is None else self.g[idx],
         )
-
-
-def check_unique_keys(dataset):
-    seen = {}
-    for row, key in enumerate(dataset.keys()):
-        if key in seen:
-            raise InputError(
-                f"duplicate (unit, period) key {key!r} at rows {seen[key]} and {row}"
-            )
-        seen[key] = row
 
 
 def attach_exposure(dataset, adj, mode="plain"):

@@ -145,7 +145,13 @@ def write_drf_surface_csv(drf, path, bands=None):
                 writer.writerow(row)
 
 
-def write_marginal_csv(axis, grid, mu, path, lo=None, hi=None):
+def write_marginal_csv(drf, axis, path, bands=None):
+    """Marginal curve of ``drf`` along ``axis`` ("z" or "g"):
+    axis,mu[,mu_lo,mu_hi] at 10 significant digits, bounds from ``bands``."""
+    grid, mu = getattr(drf, f"{axis}_grid"), getattr(drf, f"marginal_{axis}")
+    lo = hi = None
+    if bands is not None:
+        lo, hi = getattr(bands, f"marginal_{axis}_lo"), getattr(bands, f"marginal_{axis}_hi")
     with_bands = lo is not None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

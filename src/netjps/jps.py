@@ -154,17 +154,30 @@ class DrfGrid:
                 raise InputError("surface dimensions must match the grids")
 
 
-def _design(dataset, names, extra=None):
+def _design(dataset, names):
     cols = [np.ones(dataset.n)]
     labels = ["const"]
     mat = dataset.covariate_matrix(list(names))
     for j, nm in enumerate(names):
         cols.append(mat[:, j])
         labels.append(nm)
-    if extra is not None:
-        cols.append(extra[0])
-        labels.append(extra[1])
     return np.column_stack(cols), tuple(labels)
+
+
+def _fit_z_model(dataset, x_z):
+    """The individual-treatment model of both estimators: the zero-skewness
+    Box-Cox root and the OLS fit of Z* on (const, *x_z)."""
+    bc, zstar = boxcox_zero_skew(dataset.z)
+    xz, names_z = _design(dataset, x_z)
+    return bc, fit_ols(xz, zstar, names=names_z)
+
+
+def _zstar_mean(z_model, dataset):
+    """Per-unit conditional mean of Z*, after the model's scale is checked."""
+    if z_model.sigma <= 0:
+        raise DomainError("individual-treatment residual scale is zero; scores degenerate")
+    xz, _ = _design(dataset, z_model.names[1:])
+    return xz @ z_model.theta
 
 
 def fit_treatment_models(dataset, config):
@@ -179,23 +192,18 @@ def fit_treatment_models(dataset, config):
             "all exposures identical; the joint model is unidentified - "
             "use the no-interference estimator (variant = naive)"
         )
-    bc, zstar = boxcox_zero_skew(dataset.z)
-    xz, names_z = _design(dataset, config.x_z)
-    z_model = fit_ols(xz, zstar, names=names_z)
-    xg, names_g = _design(dataset, config.x_g, extra=(dataset.z, "z"))
-    g_model = fit_ols(xg, g, names=names_g)
+    bc, z_model = _fit_z_model(dataset, config.x_z)
+    xg, names_g = _design(dataset, config.x_g)
+    g_model = fit_ols(np.column_stack([xg, dataset.z]), g, names=(*names_g, "z"))
     return GpsFit(boxcox=bc, z_model=z_model, g_model=g_model,
                   x_z=tuple(config.x_z), x_g=tuple(config.x_g))
 
 
 def _score_parts(gps, dataset):
     """Per-unit conditional means used by both score prediction and imputation."""
-    if gps.z_model.sigma <= 0:
-        raise DomainError("individual-treatment residual scale is zero; scores degenerate")
+    mean_zstar = _zstar_mean(gps.z_model, dataset)
     if gps.g_model.sigma <= 0:
         raise DomainError("neighborhood-treatment residual scale is zero; scores degenerate")
-    xz, _ = _design(dataset, gps.x_z)
-    mean_zstar = xz @ gps.z_model.theta
     xg_base, _ = _design(dataset, gps.x_g)
     beta_gz = gps.g_model.coef("z")
     base_g = xg_base @ gps.g_model.theta[:-1]
@@ -256,13 +264,15 @@ def _impute(outcome, z, g, phi, lam, out=None, tmp=None):
     return mean
 
 
-def impute_drf(gps, outcome, dataset, grid=None):
+def impute_drf(gps, scores, outcome, dataset, grid=None):
     """Stages 4-5: counterfactual scores, per-unit imputation, unit averages.
 
     For every grid pair (z, g) each unit's scores are re-evaluated at that
     treatment level; the surface averages the imputed outcomes.  Marginal
     curves plug in the observed values of the other treatment
-    (mu_z(z) averages Y_i(z, G_i), mu_g(g) averages Y_i(Z_i, g)).
+    (mu_z(z) averages Y_i(z, G_i), mu_g(g) averages Y_i(Z_i, g)), so the
+    g-marginal takes each unit's individual score at its observed treatment
+    from ``scores`` (stage 2) rather than evaluating it again.
     """
     grid = grid or GridPolicy()
     g_obs = dataset.require_g()
@@ -295,10 +305,8 @@ def impute_drf(gps, outcome, dataset, grid=None):
         marginal_z[iz] = _impute(outcome, zv, g_obs, phi_z,
                                  normal_density(g_obs, gmean_z, sigma_g))
 
-    zstar_obs = boxcox_apply(dataset.z, k)
-    phi_obs = normal_density(zstar_obs, mean_zstar, sigma_z)
     gmean_obs = base_g + beta_gz * dataset.z
-    marginal_g = _impute(outcome, dataset.z, g_col, phi_obs,
+    marginal_g = _impute(outcome, dataset.z, g_col, scores.phi,
                          normal_density(g_col, gmean_obs, sigma_g, out=lam),
                          out=yhat, tmp=tmp)
 
@@ -398,7 +406,7 @@ def run_jps(dataset, config):
     gps = fit_treatment_models(dataset, config)
     scores = predict_scores(gps, dataset)
     outcome = fit_outcome(dataset, scores, "with_interference")
-    drf = impute_drf(gps, outcome, dataset, config.grid)
+    drf = impute_drf(gps, scores, outcome, dataset, config.grid)
     return JpsResult(gps=gps, scores=scores, outcome=outcome, drf=drf)
 
 
@@ -411,14 +419,14 @@ class NaiveResult:
 
 
 def run_naive(dataset, config):
-    """No-interference pipeline: no exposure, no neighborhood score anywhere."""
-    bc, zstar = boxcox_zero_skew(dataset.z)
-    xz, names_z = _design(dataset, config.x_z)
-    z_model = fit_ols(xz, zstar, names=names_z)
-    if z_model.sigma <= 0:
-        raise DomainError("individual-treatment residual scale is zero; scores degenerate")
-    mean_zstar = xz @ z_model.theta
-    phi_obs = normal_density(zstar, mean_zstar, z_model.sigma)
+    """No-interference pipeline: no exposure, no neighborhood score anywhere.
+
+    The individual-treatment model is fitted exactly as in
+    :func:`fit_treatment_models`.
+    """
+    bc, z_model = _fit_z_model(dataset, config.x_z)
+    mean_zstar = _zstar_mean(z_model, dataset)
+    phi_obs = normal_density(boxcox_apply(dataset.z, bc.k), mean_zstar, z_model.sigma)
     x, names = build_outcome_matrix(dataset.z, 0.0, phi_obs, 1.0, "without_interference")
     outcome = OutcomeFit(fit=fit_ols(x, dataset.y, names=names), variant="without_interference")
 

@@ -154,12 +154,10 @@ def build_adjacency(edges, nodes):
     return AdjacencyView(periods=tuple(index_by_period), blocks=blocks)
 
 
-def _aligned_blocks(adj, dataset):
-    """Yield (block, rows) for each period that has dataset rows.
+def check_unique_keys(dataset):
+    """Index the dataset's rows as ``{period: {unit: row}}``.
 
-    ``rows[k]`` is the dataset row of the block's k-th unit.  Each dataset
-    row must be a distinct (unit, period) registered in ``adj``, and each
-    registered unit of such a period must have a row.
+    A (unit, period) key on more than one row raises :class:`InputError`.
     """
     rows_by_period = {}
     for row, key in enumerate(zip(dataset.units.tolist(), dataset.periods.tolist())):
@@ -168,7 +166,17 @@ def _aligned_blocks(adj, dataset):
         if unit in rows:
             raise InputError(f"duplicate (unit, period) key {key!r} at rows {rows[unit]} and {row}")
         rows[unit] = row
-    for period, rows in rows_by_period.items():
+    return rows_by_period
+
+
+def _aligned_blocks(adj, dataset):
+    """Yield (block, rows) for each period that has dataset rows.
+
+    ``rows[k]`` is the dataset row of the block's k-th unit.  Each dataset
+    row must be a distinct (unit, period) registered in ``adj``, and each
+    registered unit of such a period must have a row.
+    """
+    for period, rows in check_unique_keys(dataset).items():
         block = adj.block(period)
         try:
             positions = np.array([rows[u] for u in block.units], dtype=np.intp)

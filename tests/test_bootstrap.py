@@ -74,9 +74,10 @@ class TestBands:
 
     def test_naive_variant_has_no_surface(self):
         ds, cfg, _ = small_panel(seed=6)
-        bands = bootstrap_drf(ds, cfg, run_naive(ds, cfg).drf, b=20, seed=2)
+        point = run_naive(ds, cfg).drf
+        bands = bootstrap_drf(ds, cfg, point, b=20, seed=2)
         assert bands.surface_lo is None and bands.marginal_g_lo is None
-        assert bands.marginal_z_lo.shape == bands.marginal_z.shape
+        assert bands.marginal_z_lo.shape == point.marginal_z.shape
 
 
 class TestFailureHandling:

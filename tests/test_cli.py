@@ -166,6 +166,18 @@ class TestCommands:
         summary = read_json(rundir / "fit_summary.json")
         assert len(summary["naive"]["outcome_model"]["terms"]) == 8
 
+    def test_fit_prints_a_table_per_estimator(self, simulated, tmp_path, capsys):
+        for variant, tables in (("naive", ["naive outcome_model (8 terms)"]),
+                                ("both", ["outcome_model (16 terms)",
+                                          "naive outcome_model (8 terms)"])):
+            runfile = write(tmp_path / f"{variant}.cfg", RUN_CONFIG.format(
+                panel=simulated / "panel.csv", edges=simulated / "edges.csv",
+                out=tmp_path / variant, variant=variant, b=0,
+            ))
+            assert main(["fit", "--config", runfile]) == 0
+            out = capsys.readouterr().out
+            assert [line for line in out.splitlines() if "terms)" in line] == tables
+
     def test_drf_with_bootstrap_bands(self, simulated, tmp_path):
         rundir = tmp_path / "drf"
         runfile = write(tmp_path / "run.cfg", RUN_CONFIG.format(
@@ -194,6 +206,24 @@ class TestCommands:
         assert (rundir / "naive_marginal_z.csv").exists()
         naive = read_json(rundir / "naive_drf.json")
         assert naive["surface"] is None and naive["marginal_z"] is not None
+
+    def test_drf_both_writes_what_each_variant_writes_alone(self, simulated, tmp_path):
+        def run(variant):
+            rundir = tmp_path / variant
+            runfile = write(tmp_path / f"{variant}.cfg", RUN_CONFIG.format(
+                panel=simulated / "panel.csv", edges=simulated / "edges.csv",
+                out=rundir, variant=variant, b=5,
+            ))
+            assert main(["drf", "--config", runfile]) == 0
+            return rundir
+
+        both, joint, naive = run("both"), run("jps"), run("naive")
+        for name in ("drf.json", "drf_surface.csv", "drf_marginal_z.csv",
+                     "drf_marginal_g.csv", "effects.json"):
+            assert (both / name).read_bytes() == (joint / name).read_bytes(), name
+        assert (both / "naive_drf.json").read_bytes() == (naive / "drf.json").read_bytes()
+        assert ((both / "naive_marginal_z.csv").read_bytes()
+                == (naive / "drf_marginal_z.csv").read_bytes())
 
     def test_drf_runs_each_pipeline_once_outside_the_bootstrap(self, simulated, tmp_path,
                                                                 monkeypatch):

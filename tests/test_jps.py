@@ -176,7 +176,7 @@ class TestImputeAndMarginals:
         const_theta = np.zeros(16)
         const_theta[-1] = 4.25
         outcome = replace(res.outcome, fit=replace(res.outcome.fit, theta=const_theta))
-        drf = impute_drf(res.gps, outcome, ds, GridPolicy(n_z=5, n_g=5))
+        drf = impute_drf(res.gps, res.scores, outcome, ds, GridPolicy(n_z=5, n_g=5))
         assert np.allclose(drf.surface, 4.25, atol=1e-12)
         assert np.allclose(drf.marginal_z, 4.25, atol=1e-12)
         assert np.allclose(drf.marginal_g, 4.25, atol=1e-12)
@@ -271,7 +271,7 @@ class TestImputeAndMarginals:
         g = ds.g.copy()
         g[7] = np.nan
         with pytest.raises(InputError, match="non-finite g"):
-            impute_drf(res.gps, res.outcome, replace(ds, g=g),
+            impute_drf(res.gps, res.scores, res.outcome, replace(ds, g=g),
                        GridPolicy(z_values=(1.0, 1.2), g_values=(0.4, 0.8)))
 
 
@@ -321,6 +321,15 @@ class TestNaive:
         jps_curve = run_jps(ds, cfg).drf.marginal_z
         naive_curve = run_naive(ds, cfg).drf.marginal_z
         assert np.max(np.abs(jps_curve - naive_curve)) < 0.05
+
+    def test_individual_treatment_model_shared_with_joint(self):
+        ds = make_dataset(n=300, seed=83)
+        cfg = config_for(ds)
+        naive, joint = run_naive(ds, cfg), run_jps(ds, cfg).gps
+        assert naive.boxcox == joint.boxcox
+        assert naive.z_model.names == joint.z_model.names
+        assert np.array_equal(naive.z_model.theta, joint.z_model.theta)
+        assert naive.z_model.sigma == joint.z_model.sigma
 
     def test_naive_drf_defaults_and_shape(self):
         ds = make_dataset(n=300, seed=67)
