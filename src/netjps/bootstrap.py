@@ -42,7 +42,7 @@ class BootstrapBands:
         for lo, hi in ((self.surface_lo, self.surface_hi),
                        (self.marginal_z_lo, self.marginal_z_hi),
                        (self.marginal_g_lo, self.marginal_g_hi)):
-            if lo is not None and not np.all(lo <= hi):
+            if lo is not None and np.any(lo > hi):  # NaN bounds of flagged cells pass
                 raise InputError("percentile bands must satisfy lower <= upper")
 
 

@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -216,19 +216,9 @@ def cmd_simulate(cfg):
     naive = jps.run_naive(dataset, config).drf
     oracle = synth.oracle_drf(scenario, drf.z_grid, drf.g_grid, m=cfg.oracle_m)
 
-    oracle_payload = {
-        "z_grid": oracle.z_grid.tolist(),
-        "g_grid": oracle.g_grid.tolist(),
-        "surface": oracle.surface.tolist(),
-        "marginal_z": oracle.marginal_z.tolist(),
-        "marginal_g": oracle.marginal_g.tolist(),
-        "mc_se_z": oracle.mc_se_z.tolist(),
-        "mc_se_g": oracle.mc_se_g.tolist(),
-        "g_mean": oracle.g_mean,
-        "z_mean": oracle.z_mean,
-        "m_samples": oracle.m_samples,
-    }
-    io_mod.write_json(oracle_payload, out / "oracle.json")
+    oracle_payload = {f.name: getattr(oracle, f.name) for f in fields(oracle)}
+    io_mod.write_json({k: v.tolist() if isinstance(v, np.ndarray) else v
+                       for k, v in oracle_payload.items()}, out / "oracle.json")
     io_mod.write_json(io_mod.drf_payload(drf, effects=jps.effects(drf, cfg.contrasts)),
                       out / "drf.json")
 

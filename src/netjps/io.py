@@ -15,7 +15,6 @@ import numpy as np
 from .errors import InputError
 
 EDGE_COLUMNS = ("source", "target", "period", "weight")
-PANEL_KEY_COLUMNS = ("unit", "period")
 
 
 def _fmt10(x):

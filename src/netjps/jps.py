@@ -155,13 +155,8 @@ class DrfGrid:
 
 
 def _design(dataset, names):
-    cols = [np.ones(dataset.n)]
-    labels = ["const"]
     mat = dataset.covariate_matrix(list(names))
-    for j, nm in enumerate(names):
-        cols.append(mat[:, j])
-        labels.append(nm)
-    return np.column_stack(cols), tuple(labels)
+    return np.column_stack([np.ones(dataset.n), mat]), ("const", *names)
 
 
 def _fit_z_model(dataset, x_z):

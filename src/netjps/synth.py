@@ -79,6 +79,10 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "treatment_coefs", tuple(float(v) for v in self.treatment_coefs))
+        if self.n_units < 1 or self.n_periods < 1:
+            raise InputError("need at least one unit and one period")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if not 0 < self.edge_prob <= 1:
             raise InputError("edge probability must be in (0, 1]")
         if self.treatment_sd < 0 or self.outcome_sd < 0 or self.weight_log_sd < 0:

@@ -79,6 +79,24 @@ class TestBands:
         assert bands.surface_lo is None and bands.marginal_g_lo is None
         assert bands.marginal_z_lo.shape == point.marginal_z.shape
 
+    def test_flagged_cells_give_nan_bands(self):
+        # z = 1e103 lies far outside the support: the point estimate flags
+        # that surface row as NaN, and the bands are NaN exactly there
+        ds, _, _ = small_panel(seed=2)
+        cfg = JpsConfig(x_z=("x0", "x1"), x_g=("x0", "x1"),
+                        grid=GridPolicy(z_values=(1.0, 1e103), n_g=5))
+        point = run_jps(ds, cfg).drf
+        bands = bootstrap_drf(ds, cfg, point, b=3, seed=1)
+        flagged = np.isnan(point.surface)
+        assert flagged.any() and not flagged.all()
+        for bound in (bands.surface_lo, bands.surface_hi):
+            assert np.array_equal(np.isnan(bound), flagged)
+            assert np.all(np.isfinite(bound[~flagged]))
+        for curve, lo, hi in ((point.marginal_z, bands.marginal_z_lo, bands.marginal_z_hi),
+                              (point.marginal_g, bands.marginal_g_lo, bands.marginal_g_hi)):
+            for bound in (lo, hi):
+                assert np.array_equal(np.isfinite(bound), np.isfinite(curve))
+
 
 class TestFailureHandling:
     def test_validation(self):

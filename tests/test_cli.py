@@ -1,15 +1,22 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from netjps.cli import main
-from netjps.config import parse_config, serialize_config
+from netjps.config import (
+    BootstrapSettings,
+    ColumnBindings,
+    RunConfig,
+    parse_config,
+    serialize_config,
+)
 from netjps.errors import ConfigError
 from netjps.io import read_json
-from netjps.jps import GridPolicy, JpsConfig, run_jps
-from netjps.synth import generate
+from netjps.jps import ContrastSpec, GridPolicy, JpsConfig, run_jps
+from netjps.synth import OutcomeRule, Scenario, generate
 
 
 SIM_CONFIG = """
@@ -55,6 +62,57 @@ effects.z_pairs = 1.2:1.4
 """
 
 
+EVERY_KEY_CONFIG = """
+panel = p.csv
+edges = e.csv
+out = results
+variant = naive
+exposure.mode = trade-normalized
+columns.unit = u
+columns.period = t
+columns.outcome = yy
+columns.treatment = zz
+columns.x_z = a, b
+columns.x_g = c
+neighborhood.nbr = sum:out:a
+grid.n_z = 7
+grid.n_g = 9
+grid.lower_pct = 2.5
+grid.upper_pct = 97.5
+grid.z_values = 0.5, 1.5
+grid.g_values = 0.1, 0.2, 0.4
+bootstrap.b = 3
+bootstrap.seed = 4
+bootstrap.level = 0.9
+oracle.m = 500
+effects.z_pairs = 1.2:1.0, 1.5:1.0
+effects.g_pairs = 0.2:0.1
+scenario.n_units = 10
+scenario.n_periods = 3
+scenario.edge_prob = 0.3
+scenario.weight_log_mean = 0.1
+scenario.weight_log_sd = 0.6
+scenario.weight_covariate_coef = 0.2
+scenario.n_covariates = 2
+scenario.covariate_mean = 0.5
+scenario.covariate_sd = 2.0
+scenario.treatment_intercept = 0.3
+scenario.treatment_coefs = 0.2, -0.1
+scenario.treatment_sd = 0.3
+scenario.exposure_mode = trade-normalized
+scenario.outcome_sd = 0.2
+scenario.seed = 8
+scenario.outcome.intercept = 1
+scenario.outcome.z = 2
+scenario.outcome.z2 = -0.5
+scenario.outcome.z3 = 0.1
+scenario.outcome.g = 0.4
+scenario.outcome.g2 = -0.2
+scenario.outcome.zg = 0.3
+scenario.outcome.x = 0.1, 0.2
+"""
+
+
 def write(path, text):
     path.write_text(text)
     return str(path)
@@ -77,6 +135,21 @@ class TestConfig:
         cfg2 = parse_config(serialize_config(cfg))
         assert cfg2 == cfg
 
+        # a config that sets every key to a non-default value
+        cfg = parse_config(EVERY_KEY_CONFIG)
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        assert ({ln.split(" = ")[0] for ln in text.splitlines()}
+                == {ln.split(" = ")[0] for ln in EVERY_KEY_CONFIG.strip().splitlines()})
+        assert cfg.exposure_mode == cfg.scenario.exposure_mode == "trade_normalized"
+        # every field differs from its default, so every field has a key
+        for obj, default in ((cfg, RunConfig()), (cfg.columns, ColumnBindings()),
+                             (cfg.grid, GridPolicy()), (cfg.bootstrap, BootstrapSettings()),
+                             (cfg.contrasts, ContrastSpec()), (cfg.scenario, Scenario(n_units=1)),
+                             (cfg.scenario.outcome, OutcomeRule())):
+            for f in fields(obj):
+                assert getattr(obj, f.name) != getattr(default, f.name), f.name
+
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="cfg:3"):
             parse_config("panel = a\nedges = b\nwat = 7\n", source="cfg")
@@ -96,6 +169,16 @@ class TestConfig:
             parse_config("neighborhood.n = median:in:v")
         with pytest.raises(ConfigError, match=r":1: neighborhood\.n: unknown direction"):
             parse_config("neighborhood.n = sum:sideways:v")
+        for line, rule in (("bootstrap.seed = -1", "must be >= 0"),
+                           ("scenario.seed = -1", "must be >= 0"),
+                           ("grid.n_z = -1", "must be >= 1"),
+                           ("grid.n_z = 0", "must be >= 1"),
+                           ("grid.n_g = -1", "must be >= 1"),
+                           ("grid.lower_pct = -5", r"must be in \[0, 100\]"),
+                           ("grid.upper_pct = 150", r"must be in \[0, 100\]")):
+            key = line.split(" =")[0]
+            with pytest.raises(ConfigError, match=rf"^cfg:2: {key}: {rule}$"):
+                parse_config(f"out = o\n{line}\n", source="cfg")
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -321,6 +404,17 @@ class TestErrorContract:
         bad = write(tmp_path / "bad.cfg", "wat = 1\n")
         assert main(["drf", "--config", bad]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_bad_config_value_exit_code(self, tmp_path, capsys):
+        for cmd, text, message in (
+            ("drf", "out = o\nbootstrap.seed = -1\n", ":2: bootstrap.seed: must be >= 0"),
+            ("simulate", "scenario.n_units = 5\nscenario.n_periods = 0\n",
+             ": invalid scenario: need at least one unit and one period"),
+        ):
+            bad = write(tmp_path / "bad.cfg", text)
+            assert main([cmd, "--config", bad]) == 2
+            assert json.loads(capsys.readouterr().err) == {"error": "config",
+                                                           "message": bad + message}
 
     def test_unbound_column_exit_code(self, simulated, tmp_path, capsys):
         runfile = write(tmp_path / "run.cfg", RUN_CONFIG.format(

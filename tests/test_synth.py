@@ -79,6 +79,9 @@ class TestGenerate:
             small_scenario(treatment_coefs=(0.1,))
         with pytest.raises(InputError):
             small_scenario(outcome=OutcomeRule(x=(0.1,)))
+        for bad in (dict(n_units=0), dict(n_units=-2), dict(n_periods=0), dict(seed=-1)):
+            with pytest.raises(InputError):
+                small_scenario(**bad)
 
 
 class TestOracle:
