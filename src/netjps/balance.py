@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .errors import InputError, SingularDesignError
+from .io import jsonable
 from .linear_model import fit_ols
 from .transforms import boxcox_apply
 
@@ -94,18 +95,8 @@ class BalanceStep:
     lr_stat: float | None
     df: int
     p_value: float | None
-    dropped: tuple
+    dropped_columns: tuple
     skipped: bool = False
-
-    def to_payload(self):
-        return {
-            "label": self.label,
-            "lr_stat": self.lr_stat,
-            "df": self.df,
-            "p_value": self.p_value,
-            "dropped_columns": list(self.dropped),
-            "skipped": self.skipped,
-        }
 
 
 @dataclass
@@ -125,12 +116,12 @@ class BalanceReport:
         )
 
     def to_payload(self):
-        return {
-            "step1": self.step1.to_payload(),
-            "step2": self.step2.to_payload(),
+        return jsonable({
+            "step1": self.step1,
+            "step2": self.step2,
             "rejects_at_0.05": self.rejects(0.05),
             "shrinkage": self.shrinkage,
-        }
+        })
 
     def format_table(self):
         lines = ["balance check (likelihood-ratio tests)",
@@ -176,7 +167,7 @@ def _lr_step(label, y, restricted_cols, added_cols):
     added = [(col, nm) for col, nm in added_cols]
     if not added:
         return BalanceStep(label=label, lr_stat=None, df=0, p_value=None,
-                           dropped=dropped_r, skipped=True)
+                           dropped_columns=dropped_r, skipped=True)
     kept_r = list(fit_r.names)
     cols_full = [(x_r[:, names_r.index(nm)], nm) for nm in kept_r]
     cols_full += added
@@ -188,10 +179,10 @@ def _lr_step(label, y, restricted_cols, added_cols):
     dropped = dropped_r + dropped_f
     if df_added == 0:
         return BalanceStep(label=label, lr_stat=None, df=0, p_value=None,
-                           dropped=dropped, skipped=True)
+                           dropped_columns=dropped, skipped=True)
     stat, p = lr_test(fit_r.rss, fit_f.rss, fit_r.n, df_added)
     return BalanceStep(label=label, lr_stat=stat, df=df_added, p_value=p,
-                       dropped=dropped, skipped=False)
+                       dropped_columns=dropped, skipped=False)
 
 
 def _standardized_coef(fit, term, sd_term, sd_response):

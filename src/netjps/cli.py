@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -174,7 +174,7 @@ def cmd_drf(cfg):
         for axis in ("z", "g") if with_g else ("z",):
             io_mod.write_marginal_csv(drf, axis, out / f"{stem}_marginal_{axis}.csv", bands=bands)
         if i == 0:
-            io_mod.write_json(report.to_payload(), out / "effects.json")
+            io_mod.write_json(report, out / "effects.json")
         io_mod.write_json(io_mod.drf_payload(drf, effects=report, bands=bands),
                           out / ("drf.json" if i == 0 else f"{stem}_drf.json"))
     print(f"wrote dose-response outputs to {out}")
@@ -211,40 +211,26 @@ def cmd_simulate(cfg):
         x_g=cfg.columns.x_g or x_names,
         grid=cfg.grid,
     )
-    result = jps.run_jps(dataset, config)
-    drf = result.drf
+    drf = jps.run_jps(dataset, config).drf
     naive = jps.run_naive(dataset, config).drf
     oracle = synth.oracle_drf(scenario, drf.z_grid, drf.g_grid, m=cfg.oracle_m)
 
-    oracle_payload = {f.name: getattr(oracle, f.name) for f in fields(oracle)}
-    io_mod.write_json({k: v.tolist() if isinstance(v, np.ndarray) else v
-                       for k, v in oracle_payload.items()}, out / "oracle.json")
+    io_mod.write_json(oracle, out / "oracle.json")
     io_mod.write_json(io_mod.drf_payload(drf, effects=jps.effects(drf, cfg.contrasts)),
                       out / "drf.json")
 
-    jps_err = np.abs(drf.marginal_z - oracle.marginal_z)
-    naive_err = np.abs(naive.marginal_z - oracle.marginal_z)
-    comparison = {
-        "sd_y": float(np.std(dataset.y)),
-        "jps": {
-            "mean_abs_error_marginal_z": float(jps_err.mean()),
-            "max_abs_error_surface": float(np.nanmax(np.abs(drf.surface - oracle.surface))),
-            "argmax_z": float(drf.z_grid[np.argmax(drf.marginal_z)]),
-            "argmax_steps_from_oracle": int(
-                abs(int(np.argmax(drf.marginal_z)) - oracle.argmax_z())
-            ),
-        },
-        "naive": {
-            "mean_abs_error_marginal_z": float(naive_err.mean()),
-            "argmax_z": float(naive.z_grid[np.argmax(naive.marginal_z)]),
-            "argmax_steps_from_oracle": int(
-                abs(int(np.argmax(naive.marginal_z)) - oracle.argmax_z())
-            ),
-        },
-        "oracle_argmax_z": float(oracle.z_grid[oracle.argmax_z()]),
-    }
+    truth = oracle.argmax_z()
+    comparison = {"sd_y": np.std(dataset.y)}
+    for name, est in (("jps", drf), ("naive", naive)):
+        errors = {"mean_abs_error_marginal_z": np.abs(est.marginal_z - oracle.marginal_z).mean()}
+        if est.surface is not None:
+            errors["max_abs_error_surface"] = np.nanmax(np.abs(est.surface - oracle.surface))
+        best = np.argmax(est.marginal_z)
+        comparison[name] = {**errors, "argmax_z": est.z_grid[best],
+                            "argmax_steps_from_oracle": abs(best - truth)}
+    comparison["oracle_argmax_z"] = oracle.z_grid[truth]
     io_mod.write_json(comparison, out / "comparison.json")
-    print(json.dumps(comparison, indent=2))
+    print((out / "comparison.json").read_text(encoding="utf-8"), end="")
     return 0
 
 

@@ -199,7 +199,10 @@ def parse_config(text, source="<config>"):
         node[name] = parse(raw, where)
 
     scenario = _scenario(tree.pop("scenario"), source) if "scenario" in tree else None
-    sections = {name: cls(**tree.pop(name, {})) for name, cls in _SECTIONS.items()}
+    try:
+        sections = {name: cls(**tree.pop(name, {})) for name, cls in _SECTIONS.items()}
+    except InputError:  # GridPolicy's percentile order, the one rule across keys
+        raise ConfigError(f"{source}: grid.lower_pct must be below grid.upper_pct") from None
     return RunConfig(**tree, **sections, neighborhood=tuple(neighborhood), scenario=scenario)
 
 

@@ -3,10 +3,12 @@
 Two float conventions coexist deliberately: dataset files (panel, edge list)
 are written with shortest round-trip ``repr`` so that ingest -> recompute is
 bit-exact, while result tables (surfaces, marginals) use 10 significant
-digits.  The JSON result document keeps full precision.
+digits.  JSON result documents keep full precision and are strict JSON: a
+non-finite value is written as ``null``.
 """
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -162,45 +164,40 @@ def write_marginal_csv(drf, axis, path, bands=None):
             writer.writerow(row)
 
 
-def _listify(x):
-    if x is None:
-        return None
-    return np.asarray(x).tolist()
+def jsonable(obj):
+    """Plain JSON data for a result: a dataclass becomes its fields in
+    declaration order, dicts recurse, tuples, lists and arrays become lists
+    (each array in one numpy pass), numpy scalars become Python numbers and
+    a non-finite float becomes None (``null``)."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and not np.all(np.isfinite(obj)):
+            obj = np.where(np.isfinite(obj), obj.astype(object), None)
+        return obj.tolist()
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    return obj.item() if isinstance(obj, np.generic) else obj
 
 
 def drf_payload(drf, effects=None, bands=None):
-    """Full-precision JSON document: grids, marginals, effects, metadata."""
-    payload = {
-        "z_grid": _listify(drf.z_grid),
-        "g_grid": _listify(drf.g_grid),
-        "surface": _listify(drf.surface),
-        "marginal_z": _listify(drf.marginal_z),
-        "marginal_g": _listify(drf.marginal_g),
-        "meta": drf.meta,
-    }
-    if effects is not None:
-        payload["effects"] = effects.to_payload()
-    if bands is not None:
-        payload["bands"] = {
-            "level": bands.level,
-            "b": bands.b,
-            "b_effective": bands.b_effective,
-            "failures": bands.failures,
-            "seed": bands.seed,
-            "surface_lo": _listify(bands.surface_lo),
-            "surface_hi": _listify(bands.surface_hi),
-            "marginal_z_lo": _listify(bands.marginal_z_lo),
-            "marginal_z_hi": _listify(bands.marginal_z_hi),
-            "marginal_g_lo": _listify(bands.marginal_g_lo),
-            "marginal_g_hi": _listify(bands.marginal_g_hi),
-        }
+    """The fields of ``drf``, then effects and bands if given, left for
+    :func:`write_json` to encode in one pass."""
+    payload = {f.name: getattr(drf, f.name) for f in dataclasses.fields(drf)}
+    for key, part in (("effects", effects), ("bands", bands)):
+        if part is not None:
+            payload[key] = part
     return payload
 
 
 def linear_fit_payload(fit):
     return {
-        "terms": list(fit.names),
-        "coefficients": [float(t) for t in fit.theta],
+        "terms": fit.names,
+        "coefficients": fit.theta,
         "sigma": fit.sigma,
         "n": fit.n,
         "rss": fit.rss,
@@ -208,8 +205,9 @@ def linear_fit_payload(fit):
 
 
 def write_json(obj, path):
+    """The one JSON encoder of result documents: strict JSON, no NaN tokens."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(jsonable(obj), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -45,6 +45,10 @@ class GridPolicy:
     z_values: tuple | None = None
     g_values: tuple | None = None
 
+    def __post_init__(self):
+        if not self.lower_pct < self.upper_pct:
+            raise InputError("grid lower_pct must be below upper_pct")
+
     def resolve(self, z_obs, g_obs=None):
         z_grid = self._axis(self.z_values, self.n_z, z_obs, "z")
         g_grid = None
@@ -131,7 +135,9 @@ class DrfGrid:
 
     ``surface[iz, ig]`` averages the imputed potential outcomes at
     (z_grid[iz], g_grid[ig]); a z-only grid (the no-interference estimator)
-    has ``g_grid``/``surface``/``marginal_g`` set to None.
+    has ``g_grid``/``surface``/``marginal_g`` set to None.  Non-finite
+    surface cells are NaN, listed in ``meta["flagged_cells"]``; non-finite
+    marginal entries are set to NaN here, with a warning.
     """
 
     z_grid: np.ndarray
@@ -152,6 +158,11 @@ class DrfGrid:
                 self.g_grid.size,
             ):
                 raise InputError("surface dimensions must match the grids")
+        for name in ("marginal_z", "marginal_g"):
+            curve = getattr(self, name)
+            if curve is not None and not np.all(np.isfinite(curve)):
+                logger.warning("%d non-finite %s entries flagged", np.sum(~np.isfinite(curve)), name)
+                setattr(self, name, np.where(np.isfinite(curve), curve, np.nan))
 
 
 def _design(dataset, names):
@@ -337,16 +348,6 @@ class EffectReport:
     dg: np.ndarray | None
     direct: tuple
     spillover: tuple
-
-    def to_payload(self):
-        return {
-            "z_grid": self.z_grid.tolist(),
-            "dz": self.dz.tolist(),
-            "g_grid": None if self.g_grid is None else self.g_grid.tolist(),
-            "dg": None if self.dg is None else self.dg.tolist(),
-            "direct": [list(t) for t in self.direct],
-            "spillover": [list(t) for t in self.spillover],
-        }
 
 
 def _interp(grid, curve, v, label):

@@ -93,7 +93,7 @@ class TestBalanceCheck:
         assert report.step1.p_value < 0.01
         assert report.step2.p_value < 0.01
         # the degenerate polynomial columns were dropped, with df preserved
-        assert "phi^2" in report.step1.dropped or "phi" in report.step1.dropped
+        assert "phi^2" in report.step1.dropped_columns or "phi" in report.step1.dropped_columns
 
     def test_step_dropping_keeps_models_nested(self):
         # constant scores collapse the polynomial basis; the restricted and
@@ -102,7 +102,7 @@ class TestBalanceCheck:
         wrong = PropensityScores(phi=np.full(ds.n, 0.4), lam=np.full(ds.n, 0.4))
         report = balance_check(ds, gps, wrong)
         assert report.step1.lr_stat >= 0 and report.step2.lr_stat >= 0
-        assert set(report.step1.dropped) == {"phi", "phi^2", "phi^3"}
+        assert set(report.step1.dropped_columns) == {"phi", "phi^2", "phi^3"}
 
     def test_zero_covariates_skip_with_marker(self):
         sc = scenario_null(3)

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from netjps.bootstrap import bootstrap_drf
 from netjps.errors import BootstrapError, InputError, SingularDesignError
+from netjps.io import drf_payload, jsonable
 from netjps.jps import GridPolicy, JpsConfig, run_jps, run_naive
 from netjps import bootstrap as bootstrap_mod
 from netjps.synth import OutcomeRule, Scenario, generate, scenario_quadratic
@@ -86,7 +89,11 @@ class TestBands:
         cfg = JpsConfig(x_z=("x0", "x1"), x_g=("x0", "x1"),
                         grid=GridPolicy(z_values=(1.0, 1e103), n_g=5))
         point = run_jps(ds, cfg).drf
-        bands = bootstrap_drf(ds, cfg, point, b=3, seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bands = bootstrap_drf(ds, cfg, point, b=3, seed=1)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)
+                    and "invalid value" in str(w.message)]
         flagged = np.isnan(point.surface)
         assert flagged.any() and not flagged.all()
         for bound in (bands.surface_lo, bands.surface_hi):
@@ -123,6 +130,11 @@ class TestFailureHandling:
         assert bands.b_effective == 18
         assert bands.b_effective + bands.failures == bands.b
         assert {r for r, _, _ in bands.failure_log} == {1, 3}
+        # drf.json carries the log as [replicate, error code, message]
+        assert jsonable(drf_payload(point, bands=bands))["bands"]["failure_log"] == [
+            [1, "singular-design", "synthetic failure"],
+            [3, "singular-design", "synthetic failure"],
+        ]
 
     def test_too_many_failures_abort(self, monkeypatch):
         ds, cfg, point = small_panel()

@@ -179,6 +179,12 @@ class TestConfig:
             key = line.split(" =")[0]
             with pytest.raises(ConfigError, match=rf"^cfg:2: {key}: {rule}$"):
                 parse_config(f"out = o\n{line}\n", source="cfg")
+        # each percentile is in range, but the pair is inverted
+        for lower, upper in (("90", "10"), ("50", "50")):
+            with pytest.raises(ConfigError,
+                               match=r"^cfg: grid\.lower_pct must be below grid\.upper_pct$"):
+                parse_config(f"grid.upper_pct = {upper}\ngrid.lower_pct = {lower}\n",
+                             source="cfg")
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -308,6 +314,40 @@ class TestCommands:
         assert ((both / "naive_marginal_z.csv").read_bytes()
                 == (naive / "drf_marginal_z.csv").read_bytes())
 
+    def test_flagged_cells_written_as_null(self, simulated, tmp_path):
+        # z^3 overflows at z = 1e103: every document stays strict JSON, with
+        # null exactly where the in-process estimate is NaN
+        rundir = tmp_path / "flagged"
+        runfile = write(tmp_path / "run.cfg", RUN_CONFIG.format(
+            panel=simulated / "panel.csv", edges=simulated / "edges.csv",
+            out=rundir, variant="both", b=3,
+        ) + "grid.z_values = 1.0, 1e103\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["drf", "--config", runfile]) == 0
+            ds, _ = generate(parse_config(SIM_CONFIG.format(out=simulated)).scenario)
+            ref = run_jps(ds, JpsConfig(x_z=("x0", "x1"), x_g=("x0", "x1"),
+                                        grid=GridPolicy(z_values=(1.0, 1e103), n_g=6))).drf
+
+        def no_constant(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc, naive, effects = (json.loads((rundir / name).read_text(), parse_constant=no_constant)
+                               for name in ("drf.json", "naive_drf.json", "effects.json"))
+
+        def nulls(values):
+            return np.array([[v is None for v in row] if isinstance(row, list) else row is None
+                             for row in values])
+
+        flagged = np.isnan(ref.surface)
+        assert flagged.any() and not flagged.all()
+        for key in ("surface", "marginal_z", "marginal_g"):
+            assert np.array_equal(nulls(doc[key]), np.isnan(getattr(ref, key))), key
+        for key in ("surface_lo", "surface_hi"):
+            assert np.array_equal(nulls(doc["bands"][key]), flagged), key
+        assert nulls(naive["marginal_z"]).tolist() == [False, True]
+        assert nulls(effects["dz"]).tolist() == [True, True]
+        assert doc["bands"]["failure_log"] == [] and naive["bands"]["failure_log"] == []
+
     def test_drf_runs_each_pipeline_once_outside_the_bootstrap(self, simulated, tmp_path,
                                                                 monkeypatch):
         from netjps import bootstrap as bootstrap_mod
@@ -410,6 +450,8 @@ class TestErrorContract:
             ("drf", "out = o\nbootstrap.seed = -1\n", ":2: bootstrap.seed: must be >= 0"),
             ("simulate", "scenario.n_units = 5\nscenario.n_periods = 0\n",
              ": invalid scenario: need at least one unit and one period"),
+            ("drf", "out = o\ngrid.lower_pct = 90\ngrid.upper_pct = 10\n",
+             ": grid.lower_pct must be below grid.upper_pct"),
         ):
             bad = write(tmp_path / "bad.cfg", text)
             assert main([cmd, "--config", bad]) == 2

@@ -253,6 +253,11 @@ class TestImputeAndMarginals:
         with pytest.raises(InputError, match="increasing"):
             run_jps(ds, config_for(ds, GridPolicy(z_values=(2.0, 1.0), g_values=(1.0, 2.0))))
 
+    @pytest.mark.parametrize("lower, upper", [(90.0, 10.0), (50.0, 50.0)])
+    def test_inverted_percentiles_rejected(self, lower, upper):
+        with pytest.raises(InputError, match="lower_pct must be below upper_pct"):
+            GridPolicy(lower_pct=lower, upper_pct=upper)
+
     def test_overflowing_grid_row_flagged_not_written(self, caplog):
         # z^3 overflows at z = 1e103: that surface row is NaN and its cells are flagged
         ds = make_dataset(n=200, seed=43)
@@ -264,6 +269,16 @@ class TestImputeAndMarginals:
         assert np.all(np.isnan(res.drf.surface[1]))
         assert res.drf.meta["flagged_cells"] == [(1, 0), (1, 1)]
         assert "2 non-finite surface cells flagged" in caplog.text
+        # the z-marginal at that grid value overflows too, and is flagged alike
+        assert np.isfinite(res.drf.marginal_z[0]) and np.isnan(res.drf.marginal_z[1])
+        assert np.all(np.isfinite(res.drf.marginal_g))
+        assert "1 non-finite marginal_z entries flagged" in caplog.text
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="netjps.jps"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            naive = run_naive(ds, cfg).drf
+        assert np.isfinite(naive.marginal_z[0]) and np.isnan(naive.marginal_z[1])
+        assert "1 non-finite marginal_z entries flagged" in caplog.text
 
     def test_non_finite_imputation_input_rejected(self):
         ds = make_dataset(n=200, seed=43)
