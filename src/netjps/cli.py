@@ -70,8 +70,7 @@ def _load_dataset(cfg):
     dataset = PanelDataset(units=units, periods=periods, y=y, z=z, covariates=columns)
     check_unique_keys(dataset)
 
-    edges = io_mod.read_edges_csv(cfg.edges)
-    adj = build_adjacency(edges, dataset.keys())
+    adj = build_adjacency(io_mod.read_edges_csv(cfg.edges), dataset.keys())
     dataset = attach_exposure(dataset, adj, cfg.exposure_mode)
     for spec in cfg.neighborhood:
         dataset = add_neighborhood_covariate(dataset, adj, spec)
@@ -225,10 +224,13 @@ def cmd_simulate(cfg):
         errors = {"mean_abs_error_marginal_z": np.abs(est.marginal_z - oracle.marginal_z).mean()}
         if est.surface is not None:
             errors["max_abs_error_surface"] = np.nanmax(np.abs(est.surface - oracle.surface))
-        best = np.argmax(est.marginal_z)
-        comparison[name] = {**errors, "argmax_z": est.z_grid[best],
-                            "argmax_steps_from_oracle": abs(best - truth)}
-    comparison["oracle_argmax_z"] = oracle.z_grid[truth]
+        best = jps.finite_argmax(est.marginal_z)
+        comparison[name] = {
+            **errors,
+            "argmax_z": None if best is None else est.z_grid[best],
+            "argmax_steps_from_oracle": None if None in (best, truth) else abs(best - truth),
+        }
+    comparison["oracle_argmax_z"] = None if truth is None else oracle.z_grid[truth]
     io_mod.write_json(comparison, out / "comparison.json")
     print((out / "comparison.json").read_text(encoding="utf-8"), end="")
     return 0

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import InputError
+from .network import EdgeTable
 
 EDGE_COLUMNS = ("source", "target", "period", "weight")
 
@@ -27,24 +28,58 @@ def _fmt_exact(x):
     return repr(float(x))
 
 
+def _header(reader, path):
+    try:
+        return next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file, header required") from None
+
+
+def _width_error(path, reader, header, row):
+    return InputError(f"{path}: row {reader.line_num}: expected {len(header)} fields, got {len(row)}")
+
+
 def read_table(path):
-    """Read a header + rows CSV table, enforcing consistent row width."""
+    """Read a header + rows CSV table, enforcing consistent row width.
+
+    Keeps every row; ingest reads with :func:`_read_columns` and comes here
+    only to name the line of a bad cell.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, header required") from None
+        header = _header(reader, path)
         rows = []
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise InputError(
-                    f"{path}: row {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
+                raise _width_error(path, reader, header, row)
             rows.append((reader.line_num, row))
     return header, rows
+
+
+def _read_columns(path):
+    """Stream a header + rows CSV into one list of cells per column.
+
+    Same checks as :func:`read_table` (blank lines skipped, row width
+    enforced), but no row object outlives its line: a long-lived row list
+    per line is a GC-tracked container, and hundreds of thousands of them
+    make the cyclic collector rescan them again and again.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = _header(reader, path)
+        columns = [[] for _ in header]
+        appends = [column.append for column in columns]
+        width = len(header)
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise _width_error(path, reader, header, row)
+            for append, cell in zip(appends, row):
+                append(cell)
+    return header, columns
 
 
 def _parse_float(path, line_num, column, text):
@@ -57,19 +92,45 @@ def _parse_float(path, line_num, column, text):
     return v
 
 
+def _float_columns(path, columns, numeric):
+    """``{name: float64 array}`` for the ``(position, name)`` pairs in
+    ``numeric``, each column parsed in one numpy call.
+
+    numpy parses a str as ``float()`` does, so a column fails here exactly
+    when one of its cells fails :func:`_parse_float`.  The file is then read
+    again row by row, to raise that function's message for the first bad
+    cell in row-major order.
+    """
+    out = {}
+    for j, name in numeric:
+        try:
+            values = np.array(columns[j], dtype=float)
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
+            _, rows = read_table(path)
+            for line_num, row in rows:
+                for k, column in numeric:
+                    _parse_float(path, line_num, column, row[k])
+        out[name] = values
+    return out
+
+
 def read_edges_csv(path):
-    """Edge-list CSV with required header source,target,period,weight."""
-    header, rows = read_table(path)
+    """Edge-list CSV with required header source,target,period,weight.
+
+    Returns an :class:`~netjps.network.EdgeTable` with the labels as read
+    (strings).  The label cells are coded here, so no per-edge Python object
+    outlives the call.
+    """
+    header, columns = _read_columns(path)
     try:
         idx = [header.index(c) for c in EDGE_COLUMNS]
     except ValueError as exc:
         raise InputError(f"{path}: missing edge column {exc.args[0].split()[0]!r}; "
                          f"header must contain {list(EDGE_COLUMNS)}") from None
-    edges = []
-    for line_num, row in rows:
-        weight = _parse_float(path, line_num, "weight", row[idx[3]])
-        edges.append((row[idx[0]], row[idx[1]], row[idx[2]], weight))
-    return edges
+    weight = _float_columns(path, columns, [(idx[3], "weight")])["weight"]
+    return EdgeTable.from_columns(*(columns[j] for j in idx[:3]), weight)
 
 
 def read_panel_csv(path, unit_col, period_col):
@@ -78,23 +139,20 @@ def read_panel_csv(path, unit_col, period_col):
     Returns (units, periods, columns) with ``columns`` an ordered name ->
     float array mapping covering all non-key columns.
     """
-    header, rows = read_table(path)
+    header, columns = _read_columns(path)
     for c in (unit_col, period_col):
         if c not in header:
             raise InputError(f"{path}: key column {c!r} not in header {header}")
     iu, ip = header.index(unit_col), header.index(period_col)
-    value_cols = [(j, name) for j, name in enumerate(header) if j not in (iu, ip)]
-    units, periods = [], []
-    columns = {name: [] for _, name in value_cols}
-    for line_num, row in rows:
-        units.append(row[iu])
-        periods.append(row[ip])
-        for j, name in value_cols:
-            columns[name].append(_parse_float(path, line_num, name, row[j]))
+    numeric = [(j, name) for j, name in enumerate(header) if j not in (iu, ip)]
+    names = [name for _, name in numeric]
+    for name in names:
+        if names.count(name) > 1:
+            raise InputError(f"{path}: column {name!r} appears more than once in the header")
     return (
-        np.asarray(units, dtype=object),
-        np.asarray(periods, dtype=object),
-        {name: np.asarray(vals, dtype=float) for name, vals in columns.items()},
+        np.asarray(columns[iu], dtype=object),
+        np.asarray(columns[ip], dtype=object),
+        _float_columns(path, columns, numeric),
     )
 
 

@@ -165,6 +165,16 @@ class DrfGrid:
                 setattr(self, name, np.where(np.isfinite(curve), curve, np.nan))
 
 
+def finite_argmax(values):
+    """Index of the largest finite entry of ``values``, or None if none is.
+
+    ``np.argmax`` ranks NaN above every number, so on a curve with flagged
+    entries it would name a flagged grid point the optimum.
+    """
+    finite = np.isfinite(values)
+    return int(np.argmax(np.where(finite, values, -np.inf))) if finite.any() else None
+
+
 def _design(dataset, names):
     mat = dataset.covariate_matrix(list(names))
     return np.column_stack([np.ones(dataset.n), mat]), ("const", *names)

@@ -15,6 +15,7 @@ here are safe to call concurrently.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -101,12 +102,80 @@ class AdjacencyView:
         return out
 
 
+@dataclass(frozen=True)
+class EdgeTable:
+    """An edge list as columns.
+
+    Edge k runs from ``units[source[k]]`` to ``units[target[k]]`` in period
+    ``periods[period[k]]`` with weight ``weight[k]``; ``source``, ``target``
+    and ``period`` are intp code arrays, ``weight`` is float64.
+    """
+
+    units: tuple
+    periods: tuple
+    source: np.ndarray
+    target: np.ndarray
+    period: np.ndarray
+    weight: np.ndarray
+
+    def __len__(self):
+        return self.weight.shape[0]
+
+    @classmethod
+    def from_columns(cls, sources, targets, periods, weights):
+        """Factorize label sequences; labels are coded in first-appearance order."""
+        units = dict.fromkeys(chain(sources, targets))
+        period_labels = dict.fromkeys(periods)
+        source, target = _codes(units, sources, targets)
+        (period,) = _codes(period_labels, periods)
+        return cls(units=tuple(units), periods=tuple(period_labels), source=source,
+                   target=target, period=period, weight=np.asarray(weights, dtype=float))
+
+    @classmethod
+    def from_records(cls, edges):
+        """From an iterable of (source, target, period, weight) tuples."""
+        sources, targets, periods, weights = list(zip(*edges, strict=True)) or ((),) * 4
+        return cls.from_columns(sources, targets, periods,
+                                np.fromiter(map(float, weights), dtype=float, count=len(weights)))
+
+    def record(self, k):
+        """Edge k as a (source, target, period, weight) tuple."""
+        return (self.units[self.source[k]], self.units[self.target[k]],
+                self.periods[self.period[k]], float(self.weight[k]))
+
+
+def _codes(labels, *columns):
+    """Each column's entries as positions among the keys of ``labels``."""
+    position = dict(zip(labels, range(len(labels))))
+    return [np.fromiter(map(position.__getitem__, column), dtype=np.intp, count=len(column))
+            for column in columns]
+
+
+def _check_edge(source, target, period, weight, index_by_period):
+    """Raise the error of the first rule the edge breaks, in the order
+    weight, self-loop, period, target, source."""
+    if not math.isfinite(weight) or weight < 0:
+        raise InputError(
+            f"edge ({source!r}, {target!r}, {period!r}): weight must be finite and >= 0, got {weight}"
+        )
+    if source == target:
+        raise InputError(f"self-loop on unit {source!r} in period {period!r}")
+    index = index_by_period.get(period)
+    if index is None:
+        raise InputError(f"edge references unregistered period {period!r}")
+    for unit in (target, source):
+        if unit not in index:
+            raise InputError(
+                f"edge ({source!r}, {target!r}, {period!r}) references unregistered unit {unit!r}"
+            )
+
+
 def build_adjacency(edges, nodes):
     """Validate edge records against a node registry and build the graph.
 
     Parameters
     ----------
-    edges : iterable of (source, target, period, weight)
+    edges : EdgeTable or iterable of (source, target, period, weight)
         Duplicate (source, target, period) edges are summed.
     nodes : iterable of (unit, period)
         Registry of valid unit ids per period; order is preserved.
@@ -114,37 +183,46 @@ def build_adjacency(edges, nodes):
     Raises
     ------
     InputError
-        On self-loops, unregistered unit ids, or negative/non-finite weights.
+        On self-loops, unregistered unit ids, or negative/non-finite weights;
+        the first offending edge in input order is named.
     """
     # insertion-ordered dicts: first appearance fixes the order, repeats are free
     index_by_period = {}
     for unit, period in nodes:
         index = index_by_period.setdefault(period, {})
         index.setdefault(unit, len(index))
-    entries = {period: [] for period in index_by_period}  # (target, source, weight)
+    table = edges if isinstance(edges, EdgeTable) else EdgeTable.from_records(edges)
 
-    for source, target, period, weight in edges:
-        weight = float(weight)
-        if not math.isfinite(weight) or weight < 0:
-            raise InputError(
-                f"edge ({source!r}, {target!r}, {period!r}): weight must be finite and >= 0, got {weight}"
-            )
-        if source == target:
-            raise InputError(f"self-loop on unit {source!r} in period {period!r}")
+    # block positions of each edge's (target, source), -1 where unregistered;
+    # the stable sort keeps each period's edges in input order
+    ends = np.stack((table.target, table.source))
+    positions = np.full(ends.shape, -1, dtype=np.int64)
+    order = np.argsort(table.period, kind="stable")
+    bounds = np.searchsorted(table.period, np.arange(len(table.periods) + 1), sorter=order)
+    in_period = {}
+    for code, period in enumerate(table.periods):
         index = index_by_period.get(period)
         if index is None:
-            raise InputError(f"edge references unregistered period {period!r}")
-        try:
-            entries[period].append((index[target], index[source], weight))
-        except KeyError as exc:
-            raise InputError(
-                f"edge ({source!r}, {target!r}, {period!r}) references unregistered unit {exc.args[0]!r}"
-            ) from None
+            continue
+        sel = order[bounds[code]:bounds[code + 1]]
+        period_ends = ends[:, sel]
+        used = np.zeros(len(table.units), dtype=bool)
+        used[period_ends] = True
+        lookup = np.full(len(table.units), -1, dtype=np.int64)
+        lookup[used] = [index.get(table.units[k], -1) for k in np.flatnonzero(used).tolist()]
+        positions[:, sel] = lookup[period_ends]
+        in_period[period] = sel
+
+    weight = table.weight
+    bad = (~np.isfinite(weight) | (weight < 0) | (table.source == table.target)
+           | (positions < 0).any(axis=0))
+    if bad.any():
+        _check_edge(*table.record(int(np.argmax(bad))), index_by_period)
 
     blocks = {}
     for period, index in index_by_period.items():
-        ijw = np.array(entries[period], dtype=float).reshape(-1, 3)  # positions are exact in float64
-        w = coo_array((ijw[:, 2], (ijw[:, 0].astype(np.int64), ijw[:, 1].astype(np.int64))),
+        sel = in_period.get(period, np.empty(0, dtype=np.intp))
+        w = coo_array((weight[sel], (positions[0, sel], positions[1, sel])),
                       shape=(len(index), len(index))).tocsr()
         w.sum_duplicates()
         w.eliminate_zeros()

@@ -17,7 +17,8 @@ import numpy as np
 
 from .dataset import PanelDataset, attach_exposure
 from .errors import InputError
-from .network import build_adjacency
+from .jps import finite_argmax
+from .network import EdgeTable, build_adjacency
 
 _ORACLE_SEED_OFFSET = 86_243_021
 
@@ -104,7 +105,7 @@ def generate(scenario):
 
     units_all, periods_all = [], []
     x_all, z_all, eps_y_all = [], [], []
-    edges, nodes = [], []
+    sources, targets, edge_periods, weights, nodes = [], [], [], [], []
     for t in range(scenario.n_periods):
         x = rng.normal(scenario.covariate_mean, scenario.covariate_sd, size=(n, kx))
         z = np.exp(
@@ -126,10 +127,11 @@ def generate(scenario):
         eps_y = rng.normal(0.0, scenario.outcome_sd, size=n)
 
         nodes.extend((u, t) for u in range(n))
-        rows, cols = np.nonzero(w)
-        edges.extend(
-            (int(j), int(i), t, float(w[i, j])) for i, j in zip(rows, cols)
-        )
+        rows, cols = np.nonzero(w)  # edge j -> i has weight w[i, j]
+        sources.append(cols)
+        targets.append(rows)
+        edge_periods.append(np.full(rows.size, t, dtype=np.intp))
+        weights.append(w[rows, cols])
         units_all.append(np.arange(n, dtype=object))
         periods_all.append(np.full(n, t, dtype=object))
         x_all.append(x)
@@ -145,6 +147,12 @@ def generate(scenario):
         y=np.zeros(z.shape[0]),
         z=z,
         covariates={nm: x[:, j] for j, nm in enumerate(names)},
+    )
+    # unit u and period t are their own codes
+    edges = EdgeTable(
+        units=tuple(range(n)), periods=tuple(range(scenario.n_periods)),
+        source=np.concatenate(sources), target=np.concatenate(targets),
+        period=np.concatenate(edge_periods), weight=np.concatenate(weights),
     )
     adj = build_adjacency(edges, nodes)
     dataset = attach_exposure(dataset, adj, scenario.exposure_mode)
@@ -169,7 +177,8 @@ class OracleDrf:
     m_samples: int
 
     def argmax_z(self):
-        return int(np.argmax(self.marginal_z))
+        """Index of the best finite marginal_z entry; None if none is finite."""
+        return finite_argmax(self.marginal_z)
 
 
 def oracle_drf(scenario, z_grid, g_grid, m=100_000, seed=None):

@@ -202,6 +202,22 @@ class TestSimulateAndRoundTrip:
         assert "jps" in comparison and "naive" in comparison
         assert capsys.readouterr().out.strip()
 
+    @pytest.mark.parametrize("z_values, best", [("1.0, 1.2, 1e103", (1.0, 1.2)),
+                                                 ("1e103, 1e104", (None,))])
+    def test_flagged_grid_point_is_not_the_argmax(self, tmp_path, z_values, best):
+        # z^3 overflows past 1e102: every marginal_z entry there is flagged NaN,
+        # and with no finite entry there is no argmax
+        outdir = tmp_path / "simout"
+        cfgfile = write(tmp_path / "sim.cfg", SIM_CONFIG.format(out=outdir)
+                        + f"grid.z_values = {z_values}\n")
+        assert main(["simulate", "--config", cfgfile]) == 0
+        comparison = read_json(outdir / "comparison.json")
+        assert comparison["oracle_argmax_z"] in best
+        for name in ("jps", "naive"):
+            assert comparison[name]["argmax_z"] in best
+            steps = comparison[name]["argmax_steps_from_oracle"]
+            assert steps in ((None,) if best == (None,) else (0, 1))
+
     def test_cli_round_trip_reproduces_surface_bit_exactly(self, tmp_path):
         simdir = tmp_path / "sim"
         cfgfile = write(tmp_path / "sim.cfg", SIM_CONFIG.format(out=simdir))

@@ -124,3 +124,60 @@ class TestCsv:
         p.write_text("source,target,period,weight\na,b,1,xx\n")
         with pytest.raises(InputError, match="row 2"):
             read_edges_csv(p)
+
+
+EDGE_HEADER = "source,target,period,weight\n"
+
+
+class TestEdgeIngest:
+    def test_blank_lines_and_quoted_labels(self, tmp_path):
+        p = tmp_path / "edges.csv"
+        p.write_text(EDGE_HEADER + '\n"a,1",b,1,2.0\n\nb,"a,1",1,3.5\n\n')
+        edges = read_edges_csv(p)
+        assert len(edges) == 2
+        assert [edges.record(k) for k in range(2)] == [("a,1", "b", "1", 2.0),
+                                                       ("b", "a,1", "1", 3.5)]
+        adj = build_adjacency(edges, [("a,1", "1"), ("b", "1")])
+        assert adj.block("1").w.toarray().tolist() == [[0.0, 3.5], [2.0, 0.0]]
+
+    @pytest.mark.parametrize("last_row, message", [
+        ('"x,y",b,1', "row 5: expected 4 fields, got 3"),
+        ('"x,y",b,1,zz', "row 5: invalid number 'zz' in column 'weight'"),
+        ('"x,y",b,1,-inf', "row 5: non-finite value in column 'weight'"),
+    ])
+    def test_errors_name_the_file_line(self, tmp_path, last_row, message):
+        # line numbers count blank lines and the lines inside quoted cells
+        p = tmp_path / "edges.csv"
+        p.write_text(EDGE_HEADER + '\n"a\nb",c,1,2.0\n' + last_row + "\n")
+        with pytest.raises(InputError, match=f"^{p}: {message}$"):
+            read_edges_csv(p)
+
+    def test_len_is_edge_rows(self, tmp_path):
+        p = tmp_path / "edges.csv"
+        p.write_text(EDGE_HEADER)
+        assert len(read_edges_csv(p)) == 0
+        p.write_text(EDGE_HEADER + "a,b,1,1.0\n\nb,a,1,2.0\na,b,1,0.5\n")
+        assert len(read_edges_csv(p)) == 3
+
+    def test_first_bad_row_is_named(self, tmp_path):
+        # row 2 names an unregistered unit, row 3 a negative weight
+        p = tmp_path / "edges.csv"
+        p.write_text(EDGE_HEADER + "a,z,1,1.0\nb,a,1,-2.0\n")
+        with pytest.raises(InputError, match=r"^edge \('a', 'z', '1'\) references "
+                                             r"unregistered unit 'z'$"):
+            build_adjacency(read_edges_csv(p), [("a", "1"), ("b", "1")])
+
+    def test_records_and_csv_build_the_same_csr(self, tmp_path):
+        records = [("b", "a", "1", 2.0), ("c", "a", "1", 0.5), ("b", "a", "1", 1.25),
+                   ("a", "c", "2", 3.0), ("c", "b", "1", 0.0), ("a", "c", "2", 4.0)]
+        nodes = [(u, p) for p in ("1", "2") for u in "abc"]
+        p = tmp_path / "edges.csv"
+        p.write_text(EDGE_HEADER + "".join(f"{s},{t},{q},{w!r}\n" for s, t, q, w in records))
+        from_csv = build_adjacency(read_edges_csv(p), nodes)
+        from_records = build_adjacency(records, nodes)
+        assert from_records.block("1").w[0, 1] == 3.25
+        for period in ("1", "2"):
+            a, b = from_records.block(period).w, from_csv.block(period).w
+            for name in ("data", "indices", "indptr"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y)

@@ -44,6 +44,20 @@ def test_self_loop_rejected():
         build_adjacency([("A", "A", 2000, 1.0)], NODES3)
 
 
+def test_first_offending_edge_reports_its_first_rule():
+    # rules run weight, self-loop, period, target, source on the first bad edge
+    with pytest.raises(InputError, match=r"^edge \('A', 'A', 2000\): weight must be finite"):
+        build_adjacency([("A", "B", 2000, 1.0), ("A", "A", 2000, -1.0)], NODES3)
+    with pytest.raises(InputError, match=r"^edge \('A', 'Z', 2000\) references unregistered unit 'Z'$"):
+        build_adjacency([("A", "Z", 2000, 1.0), ("A", "B", 2000, -1.0)], NODES3)
+    with pytest.raises(InputError, match=r"^self-loop on unit 'Y' in period 1999$"):
+        build_adjacency([("Y", "Y", 1999, 1.0), ("A", "B", 1999, 1.0)], NODES3)
+    with pytest.raises(InputError, match=r"^edge references unregistered period 1999$"):
+        build_adjacency([("A", "B", 1999, 1.0), ("A", "A", 2000, 1.0)], NODES3)
+    with pytest.raises(InputError, match=r"^edge \('Y', 'Z', 2000\) references unregistered unit 'Z'$"):
+        build_adjacency([("Y", "Z", 2000, 1.0)], NODES3)
+
+
 def test_unknown_unit_rejected():
     with pytest.raises(InputError, match="unregistered"):
         build_adjacency([("A", "Z", 2000, 1.0)], NODES3)
