@@ -12,7 +12,13 @@ from dataclasses import replace
 import numpy as np
 
 from netjps import synth
-from netjps.jps import GridPolicy, JpsConfig, run_jps, run_naive
+from netjps.jps import GridPolicy, JpsConfig, finite_argmax, run_jps, run_naive
+
+
+def optimum(z_grid, curve):
+    """The grid value at the best finite entry of ``curve``, or n/a."""
+    best = finite_argmax(curve)
+    return "n/a" if best is None else f"{z_grid[best]:.3f}"
 
 
 def main():
@@ -31,7 +37,7 @@ def main():
     z_grid = np.linspace(*np.percentile(np.concatenate(pool_z), [5, 95]), 20)
     g_grid = np.linspace(*np.percentile(np.concatenate(pool_g), [5, 95]), 20)
     oracle = synth.oracle_drf(sc, z_grid, g_grid, m=args.oracle_draws)
-    print(f"oracle optimum z* = {z_grid[oracle.argmax_z()]:.3f} "
+    print(f"oracle optimum z* = {optimum(z_grid, oracle.marginal_z)} "
           f"(mc se <= {oracle.mc_se_z.max():.2e})")
 
     cfg = JpsConfig(
@@ -49,8 +55,7 @@ def main():
         jerrs.append(jerr)
         nerrs.append(nerr)
         print(f"{rep:>4} {jerr:>9.4f} {nerr:>10.4f} "
-              f"{z_grid[np.argmax(jdrf.marginal_z)]:>8.3f} "
-              f"{z_grid[np.argmax(ndrf.marginal_z)]:>9.3f}")
+              f"{optimum(z_grid, jdrf.marginal_z):>8} {optimum(z_grid, ndrf.marginal_z):>9}")
     print(f"mean absolute marginal error: jps {np.mean(jerrs):.4f}, "
           f"naive {np.mean(nerrs):.4f} "
           f"(ratio {np.mean(nerrs) / np.mean(jerrs):.1f}x)")

@@ -3,7 +3,7 @@
 Subcommands: ``exposure``, ``fit``, ``drf``, ``balance``, ``simulate``.
 Every run is driven by one config file (``--config``); ``--out`` and
 ``--seed`` override the config.  On failure a machine-readable JSON error is
-written to stderr and the exit code identifies the error class.  Set
+written to stderr and the exit code is the error class's ``exit_code``.  Set
 NETJPS_LOG=debug|info|warning for log verbosity.
 """
 
@@ -24,35 +24,11 @@ from . import jps
 from . import synth
 from .config import load_config
 from .dataset import PanelDataset, add_neighborhood_covariate, attach_exposure, check_unique_keys
-from .errors import (
-    BootstrapError,
-    ConfigError,
-    DegenerateExposureError,
-    DegenerateNormalizerError,
-    DomainError,
-    InputError,
-    NetjpsError,
-    NoRootError,
-    SingularDesignError,
-    UnboundColumnError,
-)
+from .errors import ConfigError, NetjpsError, UnboundColumnError
 from .network import build_adjacency
 
 logger = logging.getLogger(__name__)
 
-# error class -> exit code (most specific first)
-_EXIT_CODES = (
-    (UnboundColumnError, 4),
-    (ConfigError, 2),
-    (DegenerateNormalizerError, 7),
-    (DegenerateExposureError, 8),
-    (SingularDesignError, 9),
-    (NoRootError, 10),
-    (BootstrapError, 11),
-    (DomainError, 6),
-    (InputError, 5),
-    (NetjpsError, 1),
-)
 MISSING_FILE_EXIT = 3
 
 
@@ -223,7 +199,9 @@ def cmd_simulate(cfg):
     for name, est in (("jps", drf), ("naive", naive)):
         errors = {"mean_abs_error_marginal_z": np.abs(est.marginal_z - oracle.marginal_z).mean()}
         if est.surface is not None:
-            errors["max_abs_error_surface"] = np.nanmax(np.abs(est.surface - oracle.surface))
+            # fmax skips NaN cells, and an all-flagged surface gives NaN (null)
+            errors["max_abs_error_surface"] = np.fmax.reduce(np.abs(est.surface - oracle.surface),
+                                                             axis=None)
         best = jps.finite_argmax(est.marginal_z)
         comparison[name] = {
             **errors,
@@ -280,10 +258,7 @@ def main(argv=None):
         return MISSING_FILE_EXIT
     except NetjpsError as exc:
         _emit_error(exc.code, str(exc))
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                return code
-        return 1
+        return exc.exit_code
 
 
 def _emit_error(code, message):

@@ -20,14 +20,6 @@ from .network import EdgeTable
 EDGE_COLUMNS = ("source", "target", "period", "weight")
 
 
-def _fmt10(x):
-    return format(float(x), ".10g")
-
-
-def _fmt_exact(x):
-    return repr(float(x))
-
-
 def _header(reader, path):
     try:
         return next(reader)
@@ -35,36 +27,13 @@ def _header(reader, path):
         raise InputError(f"{path}: empty file, header required") from None
 
 
-def _width_error(path, reader, header, row):
-    return InputError(f"{path}: row {reader.line_num}: expected {len(header)} fields, got {len(row)}")
-
-
-def read_table(path):
-    """Read a header + rows CSV table, enforcing consistent row width.
-
-    Keeps every row; ingest reads with :func:`_read_columns` and comes here
-    only to name the line of a bad cell.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path)
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise _width_error(path, reader, header, row)
-            rows.append((reader.line_num, row))
-    return header, rows
-
-
 def _read_columns(path):
     """Stream a header + rows CSV into one list of cells per column.
 
-    Same checks as :func:`read_table` (blank lines skipped, row width
-    enforced), but no row object outlives its line: a long-lived row list
-    per line is a GC-tracked container, and hundreds of thousands of them
-    make the cyclic collector rescan them again and again.
+    Blank lines are skipped and every other row must be as wide as the
+    header.  No row object outlives its line: a long-lived row list per line
+    is a GC-tracked container, and hundreds of thousands of them make the
+    cyclic collector rescan them again and again.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -76,7 +45,8 @@ def _read_columns(path):
             if len(row) != width:
                 if not row:
                     continue
-                raise _width_error(path, reader, header, row)
+                raise InputError(f"{path}: row {reader.line_num}: "
+                                 f"expected {width} fields, got {len(row)}")
             for append, cell in zip(appends, row):
                 append(cell)
     return header, columns
@@ -97,9 +67,10 @@ def _float_columns(path, columns, numeric):
     ``numeric``, each column parsed in one numpy call.
 
     numpy parses a str as ``float()`` does, so a column fails here exactly
-    when one of its cells fails :func:`_parse_float`.  The file is then read
-    again row by row, to raise that function's message for the first bad
-    cell in row-major order.
+    when one of its cells fails :func:`_parse_float`.  The file, whose header
+    and row widths :func:`_read_columns` has checked, is then scanned again
+    to raise that function's message for the first bad cell in row-major
+    order.
     """
     out = {}
     for j, name in numeric:
@@ -108,10 +79,12 @@ def _float_columns(path, columns, numeric):
         except ValueError:
             values = None
         if values is None or not np.isfinite(values).all():
-            _, rows = read_table(path)
-            for line_num, row in rows:
-                for k, column in numeric:
-                    _parse_float(path, line_num, column, row[k])
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                reader = csv.reader(fh)
+                next(reader)
+                for row in filter(None, reader):
+                    for k, column in numeric:
+                        _parse_float(path, reader.line_num, column, row[k])
         out[name] = values
     return out
 
@@ -156,70 +129,70 @@ def read_panel_csv(path, unit_col, period_col):
     )
 
 
+def _exact(values):
+    """Shortest round-trip text of each float: ingest gives back the same bits."""
+    return map(repr, np.asarray(values, dtype=float).ravel().tolist())
+
+
+def _digits10(values):
+    """Each float at 10 significant digits, the precision of result tables."""
+    return (format(v, ".10g") for v in np.asarray(values, dtype=float).ravel().tolist())
+
+
+def _write_table(path, header, columns):
+    """The one CSV writer: ``header``, then one row per position of the
+    equally long ``columns`` (iterables of cells, consumed as written)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns, strict=True))
+
+
 def write_panel_csv(dataset, path, unit_col="unit", period_col="period",
                     outcome_col="y", treatment_col="z"):
     """Full-precision panel writer (round-trip exact)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        cov_names = list(dataset.covariates.keys())
-        writer.writerow([unit_col, period_col, outcome_col, treatment_col] + cov_names)
-        for i in range(dataset.n):
-            row = [str(dataset.units[i]), str(dataset.periods[i]),
-                   _fmt_exact(dataset.y[i]), _fmt_exact(dataset.z[i])]
-            row += [_fmt_exact(dataset.covariates[c][i]) for c in cov_names]
-            writer.writerow(row)
+    covs = dataset.covariates
+    _write_table(path, [unit_col, period_col, outcome_col, treatment_col, *covs],
+                 [map(str, dataset.units), map(str, dataset.periods), _exact(dataset.y),
+                  _exact(dataset.z), *map(_exact, covs.values())])
 
 
 def write_edges_csv(adj, path):
     """Full-precision edge-list writer in canonical order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(EDGE_COLUMNS))
-        for source, target, period, weight in adj.edge_records():
-            writer.writerow([str(source), str(target), str(period), _fmt_exact(weight)])
+    sources, targets, periods, weights = adj.edge_columns()
+    _write_table(path, EDGE_COLUMNS,
+                 [map(str, sources), map(str, targets), map(str, periods), _exact(weights)])
 
 
 def write_exposure_csv(dataset, path, unit_col="unit", period_col="period"):
     g = dataset.require_g()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([unit_col, period_col, "g"])
-        for i in range(dataset.n):
-            writer.writerow([str(dataset.units[i]), str(dataset.periods[i]), _fmt10(g[i])])
+    _write_table(path, [unit_col, period_col, "g"],
+                 [map(str, dataset.units), map(str, dataset.periods), _digits10(g)])
 
 
 def write_drf_surface_csv(drf, path, bands=None):
     """z-major surface table: z,g,mu[,mu_lo,mu_hi] at 10 significant digits."""
     if drf.surface is None:
         raise InputError("no surface to write (z-only dose-response grid)")
-    with_bands = bands is not None and bands.surface_lo is not None
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z", "g", "mu", "mu_lo", "mu_hi"] if with_bands else ["z", "g", "mu"])
-        for iz, zv in enumerate(drf.z_grid):
-            for ig, gv in enumerate(drf.g_grid):
-                row = [_fmt10(zv), _fmt10(gv), _fmt10(drf.surface[iz, ig])]
-                if with_bands:
-                    row += [_fmt10(bands.surface_lo[iz, ig]), _fmt10(bands.surface_hi[iz, ig])]
-                writer.writerow(row)
+    n_z, n_g = drf.surface.shape
+    header = ["z", "g", "mu"]
+    cells = [np.repeat(drf.z_grid, n_g), np.tile(drf.g_grid, n_z), drf.surface]
+    if bands is not None and bands.surface_lo is not None:
+        header += ["mu_lo", "mu_hi"]
+        cells += [bands.surface_lo, bands.surface_hi]
+    _write_table(path, header, map(_digits10, cells))
 
 
 def write_marginal_csv(drf, axis, path, bands=None):
     """Marginal curve of ``drf`` along ``axis`` ("z" or "g"):
     axis,mu[,mu_lo,mu_hi] at 10 significant digits, bounds from ``bands``."""
-    grid, mu = getattr(drf, f"{axis}_grid"), getattr(drf, f"marginal_{axis}")
-    lo = hi = None
-    if bands is not None:
-        lo, hi = getattr(bands, f"marginal_{axis}_lo"), getattr(bands, f"marginal_{axis}_hi")
-    with_bands = lo is not None
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([axis, "mu", "mu_lo", "mu_hi"] if with_bands else [axis, "mu"])
-        for i, v in enumerate(grid):
-            row = [_fmt10(v), _fmt10(mu[i])]
-            if with_bands:
-                row += [_fmt10(lo[i]), _fmt10(hi[i])]
-            writer.writerow(row)
+    header = [axis, "mu"]
+    cells = [getattr(drf, f"{axis}_grid"), getattr(drf, f"marginal_{axis}")]
+    lo = None if bands is None else getattr(bands, f"marginal_{axis}_lo")
+    if lo is not None:
+        header += ["mu_lo", "mu_hi"]
+        cells += [lo, getattr(bands, f"marginal_{axis}_hi")]
+    _write_table(path, header, map(_digits10, cells))
 
 
 def jsonable(obj):

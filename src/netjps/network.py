@@ -91,15 +91,18 @@ class AdjacencyView:
     def n_edges(self):
         return sum(b.w.nnz for b in self.blocks.values())
 
-    def edge_records(self):
-        """Canonical (source, target, period, weight) tuples, target-major."""
-        out = []
+    def edge_columns(self):
+        """Canonical source, target, period and weight columns: period by
+        period, target-major, one entry per stored edge."""
+        sources, targets, periods, weights = [], [], [], []
         for period in self.periods:
             b = self.blocks[period]
-            targets = np.repeat(np.arange(len(b.units)), np.diff(b.w.indptr))
-            for i, j, weight in zip(targets.tolist(), b.w.indices.tolist(), b.w.data.tolist()):
-                out.append((b.units[j], b.units[i], period, weight))
-        return out
+            units = np.array(b.units, dtype=object)
+            sources += units[b.w.indices].tolist()
+            targets += np.repeat(units, np.diff(b.w.indptr)).tolist()
+            periods += [period] * b.w.nnz
+            weights += b.w.data.tolist()
+        return sources, targets, periods, weights
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import csv
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from netjps import cli, errors
 from netjps.cli import main
 from netjps.config import (
     BootstrapSettings,
@@ -207,10 +209,14 @@ class TestSimulateAndRoundTrip:
     def test_flagged_grid_point_is_not_the_argmax(self, tmp_path, z_values, best):
         # z^3 overflows past 1e102: every marginal_z entry there is flagged NaN,
         # and with no finite entry there is no argmax
+        # (numpy's overflow warnings are that flag's cause; any other
+        # RuntimeWarning, such as an all-NaN reduction, fails the run)
         outdir = tmp_path / "simout"
         cfgfile = write(tmp_path / "sim.cfg", SIM_CONFIG.format(out=outdir)
                         + f"grid.z_values = {z_values}\n")
-        assert main(["simulate", "--config", cfgfile]) == 0
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", cfgfile]) == 0
         comparison = read_json(outdir / "comparison.json")
         assert comparison["oracle_argmax_z"] in best
         for name in ("jps", "naive"):
@@ -399,7 +405,10 @@ class TestCommands:
         assert read_json(rundir / "naive_drf.json")["bands"]["b_effective"] == 5
 
     def test_emitted_csvs_are_reingestible(self, simulated, tmp_path):
-        from netjps.io import read_table
+        def read(path):
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            return header, rows
 
         rundir = tmp_path / "re"
         runfile = write(tmp_path / "run.cfg", RUN_CONFIG.format(
@@ -409,14 +418,15 @@ class TestCommands:
         assert main(["drf", "--config", runfile]) == 0
         assert main(["exposure", "--config", runfile]) == 0
         for name in ("drf_surface.csv", "drf_marginal_z.csv", "drf_marginal_g.csv"):
-            header, rows = read_table(rundir / name)
+            header, rows = read(rundir / name)
             assert rows, name
-            for _, row in rows:
+            for row in rows:
+                assert len(row) == len(header)
                 for cell in row:
                     float(cell)  # fully numeric tables parse
-        header, rows = read_table(rundir / "exposure.csv")
+        header, rows = read(rundir / "exposure.csv")
         gcol = header.index("g")
-        assert all(np.isfinite(float(row[gcol])) for _, row in rows)
+        assert all(np.isfinite(float(row[gcol])) for row in rows)
 
     def test_balance_command(self, simulated, tmp_path, capsys):
         rundir = tmp_path / "bal"
@@ -443,6 +453,24 @@ class TestCommands:
 
 
 class TestErrorContract:
+    @pytest.mark.parametrize("error, code", [
+        (errors.NetjpsError, 1), (errors.ConfigError, 2), (FileNotFoundError, 3),
+        (errors.UnboundColumnError, 4), (errors.InputError, 5), (errors.DomainError, 6),
+        (errors.DegenerateSampleError, 6), (errors.DegenerateNormalizerError, 7),
+        (errors.DegenerateExposureError, 8), (errors.SingularDesignError, 9),
+        (errors.NoRootError, 10), (errors.BootstrapError, 11),
+    ])
+    def test_each_error_class_has_its_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                error, code):
+        def failing(cfg):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "drf", failing)
+        cfgfile = write(tmp_path / "run.cfg", f"out = {tmp_path / 'o'}\n")
+        assert main(["drf", "--config", cfgfile]) == code
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": getattr(error, "code", "missing-file"), "message": "boom"}
+
     def test_missing_config_file(self, capsys):
         assert main(["drf", "--config", "/nonexistent/x.cfg"]) == 3
         err = json.loads(capsys.readouterr().err)

@@ -6,7 +6,6 @@ from netjps.errors import InputError, UnboundColumnError
 from netjps.io import (
     read_edges_csv,
     read_panel_csv,
-    read_table,
     write_edges_csv,
     write_panel_csv,
 )
@@ -93,18 +92,28 @@ class TestCsv:
         p = tmp_path / "empty.csv"
         p.write_text("")
         with pytest.raises(InputError, match="header"):
-            read_table(p)
+            read_panel_csv(p, "unit", "period")
 
     def test_row_width_error_names_row(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n3\n")
         with pytest.raises(InputError, match="row 3"):
-            read_table(p)
+            read_panel_csv(p, "a", "b")
 
     def test_bad_number_names_row_and_column(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("unit,period,y\nu1,1,oops\n")
         with pytest.raises(InputError, match="row 2.*'y'"):
+            read_panel_csv(p, "unit", "period")
+
+    def test_first_bad_cell_is_row_major(self, tmp_path):
+        # row 2's bad cell is in a later column than row 3's
+        p = tmp_path / "bad.csv"
+        p.write_text("unit,period,y,z\nu1,1,1.0,oops\n\nu2,1,nan,2.0\nu3,1,zz,1.0\n")
+        with pytest.raises(InputError, match=f"^{p}: row 2: invalid number 'oops' in column 'z'$"):
+            read_panel_csv(p, "unit", "period")
+        p.write_text("unit,period,y,z\nu1,1,1.0,2.0\n\nu2,1,nan,oops\n")
+        with pytest.raises(InputError, match=f"^{p}: row 4: non-finite value in column 'y'$"):
             read_panel_csv(p, "unit", "period")
 
     def test_missing_key_column(self, tmp_path):
@@ -181,3 +190,88 @@ class TestEdgeIngest:
             for name in ("data", "indices", "indptr"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+class TestCsvWriterBytes:
+    """Golden bytes of every CSV writer on a tiny hand-built input: quoted
+    labels, NaN cells, and tables with and without bands."""
+
+    @pytest.fixture()
+    def written(self, tmp_path):
+        from dataclasses import replace
+
+        from netjps.bootstrap import BootstrapBands
+        from netjps.io import write_drf_surface_csv, write_exposure_csv, write_marginal_csv
+        from netjps.jps import DrfGrid
+
+        ds = PanelDataset(units=["a,1", 'q"t', "a,1", "c"], periods=[1, 1, 2, 2],
+                          y=[0.1, -2.5, 1e-7, 4.0], z=[1.0, 3.0, 0.30000000000000004, 2.0],
+                          covariates={"x0": [1 / 3, 2.0, -0.0, 5.0]})
+        adj = build_adjacency([('q"t', "a,1", 1, 0.1), ("a,1", 'q"t', 1, 1.5),
+                               ("c", "a,1", 2, 1 / 3), ("a,1", "c", 2, 2.0),
+                               ("c", "a,1", 2, 0.25)], ds.keys())
+        ds = attach_exposure(ds, adj, "plain")
+        surface = np.array([[1.0, np.nan, 1 / 7], [2e-12, 123456789012.0, -1.5]])
+        drf = DrfGrid(z_grid=np.array([0.5, 1.0]), g_grid=np.array([0.0, 1 / 3, 2.0]),
+                      surface=surface, marginal_z=np.array([np.nan, 0.25]),
+                      marginal_g=np.array([1.5, np.nan, 2 / 3]))
+        bands = BootstrapBands(
+            level=0.9, b=3, b_effective=3, failures=0, seed=1,
+            surface_lo=surface - 0.5, surface_hi=surface + 0.5,
+            marginal_z_lo=np.array([np.nan, 0.0]), marginal_z_hi=np.array([np.nan, 1.0]),
+            marginal_g_lo=np.array([1.0, np.nan, 0.5]), marginal_g_hi=np.array([2.0, np.nan, 1.0]))
+        z_only = replace(bands, surface_lo=None, surface_hi=None,
+                         marginal_g_lo=None, marginal_g_hi=None)
+
+        write_panel_csv(ds, tmp_path / "panel.csv", unit_col="u", period_col="t",
+                        outcome_col="yy", treatment_col="zz")
+        write_edges_csv(adj, tmp_path / "edges.csv")
+        write_exposure_csv(ds, tmp_path / "exposure.csv", unit_col="u", period_col="t")
+        write_drf_surface_csv(drf, tmp_path / "surface.csv")
+        write_drf_surface_csv(drf, tmp_path / "surface_bands.csv", bands=bands)
+        write_drf_surface_csv(drf, tmp_path / "surface_z_only_bands.csv", bands=z_only)
+        for axis in "zg":
+            write_marginal_csv(drf, axis, tmp_path / f"marginal_{axis}.csv")
+            write_marginal_csv(drf, axis, tmp_path / f"marginal_{axis}_bands.csv", bands=bands)
+        write_marginal_csv(drf, "g", tmp_path / "marginal_g_z_only_bands.csv", bands=z_only)
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def test_dataset_files(self, written):
+        assert written["panel.csv"] == (
+            b'u,t,yy,zz,x0\r\n'
+            b'"a,1",1,0.1,1.0,0.3333333333333333\r\n'
+            b'"q""t",1,-2.5,3.0,2.0\r\n'
+            b'"a,1",2,1e-07,0.30000000000000004,-0.0\r\n'
+            b'c,2,4.0,2.0,5.0\r\n')
+        # canonical order: period by period, target-major; duplicates summed
+        assert written["edges.csv"] == (
+            b'source,target,period,weight\r\n'
+            b'"q""t","a,1",1,0.1\r\n'
+            b'"a,1","q""t",1,1.5\r\n'
+            b'c,"a,1",2,0.5833333333333333\r\n'
+            b'"a,1",c,2,2.0\r\n')
+        assert written["exposure.csv"] == (
+            b'u,t,g\r\n"a,1",1,0.15\r\n"q""t",1,0.75\r\n"a,1",2,0.5833333333\r\nc,2,0.3\r\n')
+
+    def test_surface_tables(self, written):
+        plain = (b'z,g,mu\r\n0.5,0,1\r\n0.5,0.3333333333,nan\r\n0.5,2,0.1428571429\r\n'
+                 b'1,0,2e-12\r\n1,0.3333333333,1.23456789e+11\r\n1,2,-1.5\r\n')
+        assert written["surface.csv"] == written["surface_z_only_bands.csv"] == plain
+        assert written["surface_bands.csv"] == (
+            b'z,g,mu,mu_lo,mu_hi\r\n'
+            b'0.5,0,1,0.5,1.5\r\n'
+            b'0.5,0.3333333333,nan,nan,nan\r\n'
+            b'0.5,2,0.1428571429,-0.3571428571,0.6428571429\r\n'
+            b'1,0,2e-12,-0.5,0.5\r\n'
+            b'1,0.3333333333,1.23456789e+11,1.23456789e+11,1.23456789e+11\r\n'
+            b'1,2,-1.5,-2,-1\r\n')
+
+    def test_marginal_tables(self, written):
+        assert written["marginal_z.csv"] == b'z,mu\r\n0.5,nan\r\n1,0.25\r\n'
+        assert written["marginal_z_bands.csv"] == (
+            b'z,mu,mu_lo,mu_hi\r\n0.5,nan,nan,nan\r\n1,0.25,0,1\r\n')
+        plain_g = b'g,mu\r\n0,1.5\r\n0.3333333333,nan\r\n2,0.6666666667\r\n'
+        assert written["marginal_g.csv"] == written["marginal_g_z_only_bands.csv"] == plain_g
+        assert written["marginal_g_bands.csv"] == (
+            b'g,mu,mu_lo,mu_hi\r\n0,1.5,1,2\r\n0.3333333333,nan,nan,nan\r\n'
+            b'2,0.6666666667,0.5,1\r\n')
