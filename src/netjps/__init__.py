@@ -33,6 +33,6 @@ from .network import (
     neighborhood_covariate,
 )
 from .synth import OracleDrf, OutcomeRule, Scenario, generate, oracle_drf
-from .transforms import BoxCoxFit, boxcox_apply, boxcox_invert, boxcox_zero_skew, skewness
+from .transforms import BoxCoxFit, boxcox_apply, boxcox_zero_skew, skewness
 
 __version__ = "0.1.0"

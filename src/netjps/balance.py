@@ -19,7 +19,7 @@ from scipy.special import gammaincc
 
 from .errors import InputError, SingularDesignError
 from .io import jsonable
-from .linear_model import fit_ols
+from .linear_model import fit_ols, powers
 from .transforms import boxcox_apply
 
 logger = logging.getLogger(__name__)
@@ -82,11 +82,7 @@ def _fit_dropping_singular(x, y, names, step, protected=frozenset()):
 
 
 def _cubic(values, label):
-    return (
-        (values, label),
-        (values**2, f"{label}^2"),
-        (values**3, f"{label}^3"),
-    )
+    return tuple(zip(powers(values), (label, f"{label}^2", f"{label}^3")))
 
 
 @dataclass

@@ -46,6 +46,8 @@ class PanelDataset:
             g = np.asarray(self.g, dtype=float)
             if g.shape[0] != n:
                 raise InputError("exposure column has wrong length")
+            if not np.all(np.isfinite(g)):
+                raise InputError("exposure column has non-finite g values")
             object.__setattr__(self, "g", g)
 
     @property

@@ -99,8 +99,9 @@ def read_edges_csv(path):
     header, columns = _read_columns(path)
     try:
         idx = [header.index(c) for c in EDGE_COLUMNS]
-    except ValueError as exc:
-        raise InputError(f"{path}: missing edge column {exc.args[0].split()[0]!r}; "
+    except ValueError:
+        missing = next(c for c in EDGE_COLUMNS if c not in header)
+        raise InputError(f"{path}: missing edge column {missing!r}; "
                          f"header must contain {list(EDGE_COLUMNS)}") from None
     weight = _float_columns(path, columns, [(idx[3], "weight")])["weight"]
     return EdgeTable.from_columns(*(columns[j] for j in idx[:3]), weight)
@@ -240,8 +241,3 @@ def write_json(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(jsonable(obj), fh, indent=2, allow_nan=False)
         fh.write("\n")
-
-
-def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

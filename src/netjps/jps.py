@@ -9,11 +9,15 @@ potential outcomes over a (z, g) grid under counterfactual scores, and
 average over units.  Marginal curves average the per-unit imputations over
 the observed distribution of the other treatment.
 
-Grid imputation evaluates one z-row of the grid at a time: every g value's
-counterfactual neighborhood scores and imputed outcomes form one (n_g, n)
-block, so working memory is O(n_g * n) whatever the grid's size.  The
-outcome polynomial is evaluated on that block directly, never as a design
-matrix, and each cell's unit average is numpy's pairwise row mean.
+The outcome model is linear in its coefficients and no term mixes the two
+scores, so a surface cell's unit average is theta . the outcome terms at
+(z, g) with each score power replaced by its unit mean
+(:func:`netjps.linear_model.outcome_terms` is the polynomial's one
+definition).  Grid imputation takes one z-row at a time: every g value's
+counterfactual neighborhood scores form one (n_g, n) block, reduced to the
+unit means of their powers, so working memory is O(n_g * n) whatever the
+grid's size.  The marginal curves pair each unit with its own observed
+value of the other treatment, so they impute per unit and then average.
 """
 
 import logging
@@ -27,6 +31,10 @@ from .linear_model import (
     build_outcome_matrix,
     fit_ols,
     normal_density,
+    outcome_terms,
+    outcome_value,
+    power_means,
+    powers,
 )
 from .transforms import BoxCoxFit, boxcox_apply, boxcox_zero_skew
 
@@ -242,53 +250,30 @@ def predict_scores(gps, dataset):
 
 def fit_outcome(dataset, scores, variant="with_interference"):
     """Stage 3: polynomial outcome model on treatments and scores."""
-    g = dataset.g if dataset.g is not None else np.zeros(dataset.n)
-    x, names = build_outcome_matrix(dataset.z, g, scores.phi, scores.lam, variant)
+    x, names = build_outcome_matrix(dataset.z, dataset.g, scores.phi, scores.lam, variant)
     fit = fit_ols(x, dataset.y, names=names)
     return OutcomeFit(fit=fit, variant=variant)
 
 
-def _impute(outcome, z, g, phi, lam, out=None, tmp=None):
-    """Unit averages (last axis) of the imputed outcomes on broadcast inputs.
-
-    Evaluates theta . row with the terms of :func:`build_outcome_matrix`
-    without forming the design: the treatment polynomials in power form, as
-    in the design (so a grid value whose cube overflows does so here too),
-    the score polynomials Horner-style.  The without_interference variant
-    ignores ``g`` and ``lam``.  ``out`` (the broadcast shape) and ``tmp``
-    (the shape of ``lam``), when given, take the imputed outcomes and the
-    lambda polynomial, so no array of that size is allocated.
-    """
-    t = outcome.fit.theta
-    yhat = (t[-1] + t[0] * z + t[1] * z**2 + t[2] * z**3
-            + phi * (t[3] + t[6] * z + phi * (t[4] + t[5] * phi)))
-    if outcome.variant == "with_interference":
-        yhat = np.add(yhat, t[7] * g + t[8] * g**2 + t[9] * g**3 + t[14] * z * g, out=out)
-        poly = np.multiply(lam, t[12], out=tmp)
-        poly += t[11]
-        poly *= lam
-        poly += t[10] + t[13] * g
-        poly *= lam
-        yhat += poly
-    mean = yhat.mean(axis=-1)
-    # sums and products carry any non-finite input into the average, so the
-    # inputs need checking only when an average is not finite
-    if not np.all(np.isfinite(mean)):
-        for arr, label in ((z, "z"), (g, "g"), (phi, "phi"), (lam, "lambda")):
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"non-finite {label} in outcome design")
-    return mean
+def _unit_mean(outcome, z, g, phi_powers, lam_powers=None):
+    """Unit average of the imputed outcomes at per-unit score powers."""
+    terms = outcome_terms(z, g, phi_powers, lam_powers, outcome.variant)
+    return outcome_value(outcome.fit.theta, terms).mean()
 
 
 def impute_drf(gps, scores, outcome, dataset, grid=None):
     """Stages 4-5: counterfactual scores, per-unit imputation, unit averages.
 
     For every grid pair (z, g) each unit's scores are re-evaluated at that
-    treatment level; the surface averages the imputed outcomes.  Marginal
-    curves plug in the observed values of the other treatment
-    (mu_z(z) averages Y_i(z, G_i), mu_g(g) averages Y_i(Z_i, g)), so the
+    treatment level, and the surface cell is theta . the unit means of the
+    outcome terms: z and g are shared by every unit of a cell, so only the
+    score powers need averaging.  Marginal curves plug in the observed
+    values of the other treatment (mu_z(z) averages Y_i(z, G_i), mu_g(g)
+    averages Y_i(Z_i, g)), so they impute per unit and then average; the
     g-marginal takes each unit's individual score at its observed treatment
-    from ``scores`` (stage 2) rather than evaluating it again.
+    from ``scores`` (stage 2) rather than evaluating it again.  A surface
+    cell whose value is not finite is NaN and listed in
+    ``meta["flagged_cells"]``.
     """
     grid = grid or GridPolicy()
     g_obs = dataset.require_g()
@@ -301,33 +286,32 @@ def impute_drf(gps, scores, outcome, dataset, grid=None):
 
     surface = np.empty((nz, ng))
     marginal_z = np.empty(nz)
-    flagged = []
-    # (n_g, n) blocks written in place by every z-row.  Fresh blocks per row
-    # would go back to the OS at each row's end and be faulted in again,
-    # which cost as much as the arithmetic and made its time erratic.
-    lam, yhat, tmp = np.empty((ng, n)), np.empty((ng, n)), np.empty((ng, n))
+    # A z-row's (n_g, n) neighborhood scores and their powers, written in
+    # place by every row.  Fresh blocks per row would go back to the OS at
+    # each row's end and be faulted in again, which cost as much as the
+    # arithmetic and made its time erratic.
+    lam, lam_pow = np.empty((ng, n)), np.empty((ng, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iz, zv in enumerate(z_grid):
+            phi_z = normal_density(boxcox_apply(zv, k), mean_zstar, sigma_z)
+            gmean_z = base_g + beta_gz * zv
+            lam_means = power_means(normal_density(g_col, gmean_z, sigma_g, out=lam), out=lam_pow)
+            surface[iz] = outcome_value(outcome.fit.theta, outcome_terms(
+                zv, g_grid, power_means(phi_z), lam_means, outcome.variant))
+            # marginal over the observed exposure distribution
+            marginal_z[iz] = _unit_mean(outcome, zv, g_obs, powers(phi_z),
+                                        powers(normal_density(g_obs, gmean_z, sigma_g)))
+        gmean_obs = base_g + beta_gz * dataset.z
+        phi_obs = powers(scores.phi)
+        marginal_g = np.array([
+            _unit_mean(outcome, dataset.z, gv, phi_obs, powers(normal_density(gv, gmean_obs, sigma_g)))
+            for gv in g_grid
+        ])
 
-    for iz, zv in enumerate(z_grid):
-        phi_z = normal_density(boxcox_apply(zv, k), mean_zstar, sigma_z)
-        gmean_z = base_g + beta_gz * zv
-        surface[iz] = _impute(outcome, zv, g_col, phi_z,
-                              normal_density(g_col, gmean_z, sigma_g, out=lam),
-                              out=yhat, tmp=tmp)
-        if not np.all(np.isfinite(surface[iz])):
-            for ig in np.flatnonzero(~np.all(np.isfinite(yhat), axis=1)):
-                flagged.append((iz, int(ig)))
-                surface[iz, ig] = np.nan
-        # marginal over the observed exposure distribution
-        marginal_z[iz] = _impute(outcome, zv, g_obs, phi_z,
-                                 normal_density(g_obs, gmean_z, sigma_g))
-
-    gmean_obs = base_g + beta_gz * dataset.z
-    marginal_g = _impute(outcome, dataset.z, g_col, scores.phi,
-                         normal_density(g_col, gmean_obs, sigma_g, out=lam),
-                         out=yhat, tmp=tmp)
-
+    flagged = [tuple(cell) for cell in np.argwhere(~np.isfinite(surface)).tolist()]
     if flagged:
         logger.warning("%d non-finite surface cells flagged", len(flagged))
+        surface[~np.isfinite(surface)] = np.nan
     meta = {
         "n": n,
         "variant": outcome.variant,
@@ -433,19 +417,20 @@ def run_naive(dataset, config):
     bc, z_model = _fit_z_model(dataset, config.x_z)
     mean_zstar = _zstar_mean(z_model, dataset)
     phi_obs = normal_density(boxcox_apply(dataset.z, bc.k), mean_zstar, z_model.sigma)
-    x, names = build_outcome_matrix(dataset.z, 0.0, phi_obs, 1.0, "without_interference")
+    x, names = build_outcome_matrix(dataset.z, None, phi_obs, None, "without_interference")
     outcome = OutcomeFit(fit=fit_ols(x, dataset.y, names=names), variant="without_interference")
 
     z_grid, _ = config.grid.resolve(dataset.z)
-    nz = z_grid.size
-    marginal_z = np.empty(nz)
-    for iz, zv in enumerate(z_grid):
-        phi_z = normal_density(boxcox_apply(zv, bc.k), mean_zstar, z_model.sigma)
-        marginal_z[iz] = _impute(outcome, zv, 0.0, phi_z, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        marginal_z = np.array([
+            _unit_mean(outcome, zv, None,
+                       powers(normal_density(boxcox_apply(zv, bc.k), mean_zstar, z_model.sigma)))
+            for zv in z_grid
+        ])
     drf = DrfGrid(
         z_grid=z_grid, g_grid=None, surface=None,
         marginal_z=marginal_z, marginal_g=None,
         meta={"n": dataset.n, "variant": "without_interference",
-              "grid": {"n_z": nz}, "flagged_cells": []},
+              "grid": {"n_z": z_grid.size}, "flagged_cells": []},
     )
     return NaiveResult(boxcox=bc, z_model=z_model, outcome=outcome, drf=drf)

@@ -54,9 +54,6 @@ class LinearFit:
         if len(self.names) != self.theta.shape[0]:
             raise InputError("coefficient count must equal design column count")
 
-    def predict(self, x):
-        return np.asarray(x, dtype=float) @ self.theta
-
     def coef(self, name):
         return float(self.theta[self.names.index(name)])
 
@@ -122,32 +119,58 @@ def normal_density(x, mean, sd, out=None):
     return np.divide(np.exp(w, out=out), sd * math.sqrt(2.0 * math.pi), out=out)
 
 
-def build_outcome_matrix(z, g, phi, lam, variant):
-    """Stacked outcome-model design rows for vector inputs.
+def powers(x):
+    """(x, x^2, x^3) by products: numpy takes a float ``**`` through ``pow``,
+    some fifty times slower."""
+    sq = x * x
+    return x, sq, sq * x
 
-    ``with_interference`` produces the 16-term row
-    [z, z^2, z^3, phi, phi^2, phi^3, z*phi, g, g^2, g^3, lambda, lambda^2,
-    lambda^3, g*lambda, z*g, 1]; ``without_interference`` keeps only the
-    first seven plus the intercept.  Scalar inputs broadcast.
+
+def power_means(x, out=None):
+    """Means over the last axis of :func:`powers` of ``x``; with ``out``
+    (x's shape), x^2 and then x^3 are formed there."""
+    sq = np.multiply(x, x, out=out)
+    sq_mean = sq.mean(axis=-1)
+    return x.mean(axis=-1), sq_mean, np.multiply(sq, x, out=out).mean(axis=-1)
+
+
+def outcome_terms(z, g, phi_powers, lam_powers, variant):
+    """The outcome polynomial's terms, in the order of the variant's names.
+
+    ``phi_powers`` and ``lam_powers`` are the scores' :func:`powers`, per
+    unit or as unit means; theta . terms is then the imputed outcome, or its
+    unit average wherever a score's multiplier (z or g) is the same for
+    every unit.  The without_interference variant ignores ``g`` and
+    ``lam_powers``.
     """
     if variant not in VARIANTS:
         raise InputError(f"unknown outcome variant {variant!r}")
-    z, g, phi, lam = np.broadcast_arrays(
-        np.asarray(z, dtype=float),
-        np.asarray(g, dtype=float),
-        np.asarray(phi, dtype=float),
-        np.asarray(lam, dtype=float),
-    )
-    for arr, label in ((z, "z"), (g, "g"), (phi, "phi"), (lam, "lambda")):
+    terms = [*powers(z), *phi_powers, z * phi_powers[0]]
+    if variant == "with_interference":
+        terms += [*powers(g), *lam_powers, g * lam_powers[0], z * g]
+    return [*terms, 1.0]
+
+
+def outcome_value(theta, terms):
+    """theta . terms, summed in term order."""
+    return sum(t * term for t, term in zip(theta, terms))
+
+
+def build_outcome_matrix(z, g, phi, lam, variant):
+    """Stacked outcome-model design rows for vector inputs (scalars
+    broadcast): one column per :func:`outcome_terms` term, named by
+    ``WITH_INTERFERENCE_TERMS`` or ``WITHOUT_INTERFERENCE_TERMS``.  The
+    without_interference variant ignores ``g`` and ``lam`` (None allowed).
+    """
+    inputs = {"z": z, "phi": phi}
+    if variant == "with_interference":
+        inputs.update({"g": g, "lambda": lam})
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in inputs.values()))
+    for label, arr in zip(inputs, arrays):
         if not np.all(np.isfinite(arr)):
             raise InputError(f"non-finite {label} in outcome design")
-    one = np.ones_like(z)
-    cols = [z, z**2, z**3, phi, phi**2, phi**3, z * phi]
-    if variant == "with_interference":
-        cols += [g, g**2, g**3, lam, lam**2, lam**3, g * lam, z * g]
-        names = WITH_INTERFERENCE_TERMS
-    else:
-        names = WITHOUT_INTERFERENCE_TERMS
-    cols.append(one)
-    return np.column_stack([c.ravel() for c in cols]), names
-
+    z, phi, *g_lam = arrays
+    g, lam_powers = (g_lam[0], powers(g_lam[1])) if g_lam else (None, None)
+    terms = outcome_terms(z, g, powers(phi), lam_powers, variant)
+    names = WITH_INTERFERENCE_TERMS if g_lam else WITHOUT_INTERFERENCE_TERMS
+    return np.column_stack([np.broadcast_to(t, z.shape).ravel() for t in terms]), names

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, DomainError, InputError, NoRootError
+from .linear_model import powers
 
 SKEW_TOL = 1e-8  # root tolerance, in skewness units
 SKEW_POSTCONDITION = 1e-6
@@ -22,12 +23,12 @@ def skewness(x):
         raise InputError("skewness needs a 1-d sample of length >= 3")
     if not np.all(np.isfinite(x)):
         raise InputError("skewness needs finite values")
-    c = x - x.mean()
-    m2 = np.mean(c * c)
+    _, sq, cube = powers(x - x.mean())
+    m2 = np.mean(sq)
     # guard against rounding residue when the sample is constant
     if m2 <= (4 * np.finfo(float).eps * max(1.0, abs(float(x.mean())))) ** 2:
         raise DegenerateSampleError("zero-variance sample has undefined skewness")
-    m3 = np.mean(c**3)
+    m3 = np.mean(cube)
     return float(m3 / m2**1.5)
 
 
@@ -47,18 +48,6 @@ def boxcox_apply(z, k):
     if abs(k) < _K_LOG_LIMIT:
         return np.log(z)
     return np.expm1(k * np.log(z)) / k
-
-
-def boxcox_invert(zstar, k):
-    """Exact inverse of :func:`boxcox_apply` on its range."""
-    zstar = np.asarray(zstar, dtype=float)
-    if not np.all(np.isfinite(zstar)):
-        raise DomainError("inverse transform requires finite values")
-    if abs(k) < _K_LOG_LIMIT:
-        return np.exp(zstar)
-    if np.any(1.0 + k * zstar <= 0):
-        raise DomainError("value outside the transform range: 1 + k*z* must be positive")
-    return np.exp(np.log1p(k * zstar) / k)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from netjps.config import (
     serialize_config,
 )
 from netjps.errors import ConfigError
-from netjps.io import read_json
 from netjps.jps import ContrastSpec, GridPolicy, JpsConfig, run_jps
 from netjps.synth import OutcomeRule, Scenario, generate
 
@@ -200,7 +199,7 @@ class TestSimulateAndRoundTrip:
         outdir = tmp_path / "simout"
         for name in ("panel.csv", "edges.csv", "oracle.json", "comparison.json", "drf.json"):
             assert (outdir / name).exists(), name
-        comparison = read_json(outdir / "comparison.json")
+        comparison = json.loads((outdir / "comparison.json").read_text())
         assert "jps" in comparison and "naive" in comparison
         assert capsys.readouterr().out.strip()
 
@@ -217,7 +216,7 @@ class TestSimulateAndRoundTrip:
         with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["simulate", "--config", cfgfile]) == 0
-        comparison = read_json(outdir / "comparison.json")
+        comparison = json.loads((outdir / "comparison.json").read_text())
         assert comparison["oracle_argmax_z"] in best
         for name in ("jps", "naive"):
             assert comparison[name]["argmax_z"] in best
@@ -242,12 +241,12 @@ class TestSimulateAndRoundTrip:
             out=rundir, variant="jps", b=0,
         ))
         assert main(["drf", "--config", runfile]) == 0
-        payload = read_json(rundir / "drf.json")
+        payload = json.loads((rundir / "drf.json").read_text())
         assert np.array_equal(np.array(payload["surface"]), ref.drf.surface)
         assert np.array_equal(np.array(payload["marginal_z"]), ref.drf.marginal_z)
         assert np.array_equal(np.array(payload["z_grid"]), ref.drf.z_grid)
 
-        summary = read_json(rundir / "fit_summary.json")
+        summary = json.loads((rundir / "fit_summary.json").read_text())
         assert len(summary["outcome_model"]["terms"]) == 16
         assert summary["outcome_model"]["terms"][-1] == "const"
 
@@ -274,7 +273,7 @@ class TestCommands:
         assert main(["fit", "--config", runfile]) == 0
         out = capsys.readouterr().out
         assert "outcome_model" in out and "z*g" in out
-        summary = read_json(rundir / "fit_summary.json")
+        summary = json.loads((rundir / "fit_summary.json").read_text())
         assert len(summary["naive"]["outcome_model"]["terms"]) == 8
 
     def test_fit_prints_a_table_per_estimator(self, simulated, tmp_path, capsys):
@@ -302,7 +301,7 @@ class TestCommands:
         assert len(rows) == 1 + 8 * 6
         lo, mid, hi = float(rows[1][3]), float(rows[1][2]), float(rows[1][4])
         assert lo <= hi
-        payload = read_json(rundir / "drf.json")
+        payload = json.loads((rundir / "drf.json").read_text())
         assert payload["bands"]["b"] == 12
         assert payload["effects"]["direct"][0][:2] == [1.2, 1.4]
 
@@ -315,7 +314,7 @@ class TestCommands:
         assert main(["drf", "--config", runfile]) == 0
         assert (rundir / "drf_surface.csv").exists()
         assert (rundir / "naive_marginal_z.csv").exists()
-        naive = read_json(rundir / "naive_drf.json")
+        naive = json.loads((rundir / "naive_drf.json").read_text())
         assert naive["surface"] is None and naive["marginal_z"] is not None
 
     def test_drf_both_writes_what_each_variant_writes_alone(self, simulated, tmp_path):
@@ -402,7 +401,7 @@ class TestCommands:
         assert main(["drf", "--config", runfile]) == 0
         assert point_runs == {"run_jps": 1, "run_naive": 1}
         assert len(resamples) == 10
-        assert read_json(rundir / "naive_drf.json")["bands"]["b_effective"] == 5
+        assert json.loads((rundir / "naive_drf.json").read_text())["bands"]["b_effective"] == 5
 
     def test_emitted_csvs_are_reingestible(self, simulated, tmp_path):
         def read(path):
@@ -435,7 +434,7 @@ class TestCommands:
             out=rundir, variant="jps", b=0,
         ))
         assert main(["balance", "--config", runfile]) == 0
-        report = read_json(rundir / "balance.json")
+        report = json.loads((rundir / "balance.json").read_text())
         assert report["step1"]["df"] == 2
         assert "balance check" in capsys.readouterr().out
 
@@ -448,7 +447,7 @@ class TestCommands:
         assert main(["drf", "--config", runfile]) == 0
         assert (rundir / "drf_marginal_z.csv").exists()
         assert not (rundir / "drf_surface.csv").exists()
-        payload = read_json(rundir / "drf.json")
+        payload = json.loads((rundir / "drf.json").read_text())
         assert payload["surface"] is None
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,15 @@ class TestPanelDataset:
         with pytest.raises(InputError, match="non-finite"):
             PanelDataset(units=["a"], periods=[1], y=[0.0], z=[1.0],
                          covariates={"x": [np.inf]})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exposure_rejected(self, bad):
+        with pytest.raises(InputError, match="non-finite g"):
+            PanelDataset(units=["a", "b"], periods=[1, 1], y=[0.0, 1.0], z=[1.0, 2.0],
+                         covariates={}, g=[0.5, bad])
+        ds = small_dataset()
+        with pytest.raises(InputError, match="non-finite g"):
+            replace(ds, g=np.where(np.arange(ds.n) == 2, bad, 1.0))
 
     def test_unique_keys(self):
         check_unique_keys(small_dataset())
@@ -125,7 +136,7 @@ class TestCsv:
     def test_edges_header_validated(self, tmp_path):
         p = tmp_path / "edges.csv"
         p.write_text("source,target,weight\na,b,1.0\n")
-        with pytest.raises(InputError, match="header"):
+        with pytest.raises(InputError, match=f"^{p}: missing edge column 'period'; header must"):
             read_edges_csv(p)
 
     def test_edge_weight_parse_error(self, tmp_path):

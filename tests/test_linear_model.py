@@ -45,7 +45,7 @@ class TestFitOls:
             x = rng.normal(size=(60, 5))
             y = rng.normal(size=60)
             fit = fit_ols(x, y)
-            r = y - fit.predict(x)
+            r = y - x @ fit.theta
             scale = np.linalg.norm(x, axis=0) * np.linalg.norm(y)
             assert np.all(np.abs(x.T @ r) < 1e-8 * scale)
 

@@ -7,7 +7,6 @@ from hypothesis import assume, given, strategies as st
 from netjps.errors import DegenerateSampleError, DomainError, NoRootError
 from netjps.transforms import (
     boxcox_apply,
-    boxcox_invert,
     boxcox_zero_skew,
     skewness,
 )
@@ -56,6 +55,13 @@ class TestSkewness:
         assert skewness(a - b * x) == pytest.approx(-s, rel=1e-5, abs=1e-7)
 
 
+def invert(zstar, k):
+    """The closed-form inverse of boxcox_apply, for round trips."""
+    if abs(k) < np.finfo(float).tiny:
+        return np.exp(zstar)
+    return np.exp(np.log1p(k * zstar) / k)
+
+
 class TestBoxCoxApplyInvert:
     def test_k1_shift(self):
         z = np.array([1.0, 2.0, 3.5])
@@ -64,13 +70,12 @@ class TestBoxCoxApplyInvert:
     def test_k0_log(self):
         z = np.array([0.5, 1.0, np.e])
         assert np.allclose(boxcox_apply(z, 0.0), np.log(z))
-        assert np.allclose(boxcox_invert(np.log(z), 0.0), z)
 
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         z = rng.lognormal(size=200)
         for k in (-2.0, -0.5, 0.0, 0.7, 1.0, 3.0):
-            back = boxcox_invert(boxcox_apply(z, k), k)
+            back = invert(boxcox_apply(z, k), k)
             assert np.max(np.abs(back - z) / z) < 1e-12
 
     def test_domain_errors(self):
@@ -78,14 +83,12 @@ class TestBoxCoxApplyInvert:
             boxcox_apply([-1.0, 2.0], 0.5)
         with pytest.raises(DomainError):
             boxcox_apply([0.0], 1.0)
-        with pytest.raises(DomainError):
-            boxcox_invert([-3.0], 0.5)  # 1 + 0.5*(-3) < 0
 
     @given(st.floats(-3, 3), st.integers(0, 1000))
     def test_round_trip_property(self, k, seed):
         rng = np.random.default_rng(seed)
         z = rng.uniform(0.1, 10.0, size=20)
-        back = boxcox_invert(boxcox_apply(z, k), k)
+        back = invert(boxcox_apply(z, k), k)
         assert np.max(np.abs(back - z) / z) < 1e-10
 
 
