@@ -10,17 +10,19 @@ average over units.  Marginal curves average the per-unit imputations over
 the observed distribution of the other treatment.
 
 The outcome model is linear in its coefficients and no term mixes the two
-scores, so a surface cell's unit average is theta . the outcome terms at
-(z, g) with each score power replaced by its unit mean
+scores, so every imputed average (a surface cell, a point of a marginal
+curve, the naive curve) is theta . the unit means of the outcome terms
 (:func:`netjps.linear_model.outcome_terms` is the polynomial's one
-definition).  Grid imputation takes one z-row at a time: every g value's
-counterfactual neighborhood scores form one (n_g, n) block, reduced to the
-unit means of their powers, so working memory is O(n_g * n) whatever the
-grid's size.  The marginal curves pair each unit with its own observed
-value of the other treatment, so they impute per unit and then average.
+definition).  Grid imputation therefore forms only unit sums of score
+powers, accumulated over blocks of ``UNIT_BLOCK`` units, so its working
+memory is O((n_z + n_g) * UNIT_BLOCK) whatever the panel's size.  The
+surface's neighborhood-score sums factor into matrix products over the
+units, which take O((n_z + n_g) * n) exps where a direct evaluation takes
+one per unit and cell.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +35,6 @@ from .linear_model import (
     normal_density,
     outcome_terms,
     outcome_value,
-    power_means,
     powers,
 )
 from .transforms import BoxCoxFit, boxcox_apply, boxcox_zero_skew
@@ -255,24 +256,161 @@ def fit_outcome(dataset, scores, variant="with_interference"):
     return OutcomeFit(fit=fit, variant=variant)
 
 
-def _unit_mean(outcome, z, g, phi_powers, lam_powers=None):
-    """Unit average of the imputed outcomes at per-unit score powers."""
-    terms = outcome_terms(z, g, phi_powers, lam_powers, outcome.variant)
-    return outcome_value(outcome.fit.theta, terms).mean()
+UNIT_BLOCK = 512  # units per block of every unit sum in grid imputation
+
+# A surface tile spans at most h = this many sigma_g either side of its
+# centre, in base_g and in g.  At the third power of the score its factors
+# and the largest of their products in each cell then stay within
+# exp(+-3 * (h^2 / 2 + h^2)) = exp(+-600), inside the normal float range
+# (exp underflows below -708).
+_TILE_HALF_WIDTH = (600.0 / 4.5) ** 0.5
+
+
+def _runs(values, span, max_len):
+    """Consecutive slices of sorted ``values``, each at most ``max_len``
+    long and at most ``span`` wide; a single value is always a run."""
+    start = 0
+    while start < values.size:
+        stop = min(np.searchsorted(values, values[start] + span, side="right"), start + max_len)
+        yield slice(start, stop)
+        start = stop
+
+
+def _peak_powers(sd):
+    """(c, c^2, c^3) for the Gaussian density's normalizer c = sd sqrt(2 pi):
+    they turn unit sums of exp(-u^2 / 2)^k into sums of the density^k."""
+    peak = sd * math.sqrt(2.0 * math.pi)
+    return np.array([peak, peak * peak, peak * peak * peak])
+
+
+def _block_buffers(rows, n):
+    """The two (rows, UNIT_BLOCK) arrays that every block of n units writes
+    its grid axis's values into, allocated once per imputation call."""
+    return np.empty((2, rows, min(n, UNIT_BLOCK)))
+
+
+def _density_means(x, means, sd, buffers, weight=None):
+    """Unit means of N(x_j; means_i, sd)^k for k = 1, 2, 3, and of
+    weight_i * N(x_j; means_i, sd) when ``weight`` is given: the rows of a
+    (3 or 4, x.size) array.  The densities are formed one block of
+    ``UNIT_BLOCK`` units at a time in ``buffers`` (:func:`_block_buffers`).
+    """
+    n = means.size
+    dens, pw = buffers
+    sums = np.zeros((3 if weight is None else 4, x.size))
+    for lo in range(0, n, UNIT_BLOCK):
+        units = slice(lo, min(lo + UNIT_BLOCK, n))
+        m = units.stop - lo
+        d = np.subtract(x[:, None], means[units], out=dens[:, :m])
+        d *= d
+        d *= -0.5 / (sd * sd)
+        np.exp(d, out=d)
+        p = np.multiply(d, d, out=pw[:, :m])
+        sums[0] += d.sum(axis=1)
+        sums[1] += p.sum(axis=1)
+        sums[2] += np.multiply(p, d, out=p).sum(axis=1)
+        if weight is not None:
+            # einsum's own loop, not BLAS: the sum order cannot depend on
+            # the BLAS thread count
+            sums[3] += np.einsum("ji,i->j", d, weight[units])
+    peaks = _peak_powers(sd)
+    sums[:3] /= peaks[:, None]
+    sums[3:] /= peaks[0]
+    return sums / n
+
+
+def _phi_means(z_grid, boxcox_k, mean_zstar, sigma_z, buffers):
+    """Unit means of phi_i(z)^k, k = 1, 2, 3, at each z: the individual-score
+    part of the joint surface, of its z-marginal and of the naive curve."""
+    return _density_means(boxcox_apply(z_grid, boxcox_k), mean_zstar, sigma_z, buffers)
+
+
+def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers):
+    """Unit means of lambda_i^k = N(g; base_g_i + beta * z, sigma)^k for
+    k = 1, 2, 3 at each grid cell, as a (3, n_z, n_g) array, without one
+    exp per unit and cell.
+
+    Units sorted by base_g and the g grid are cut into runs no wider than
+    2 * ``_TILE_HALF_WIDTH`` * sigma, the unit runs also no longer than
+    ``UNIT_BLOCK``; a tile pairs one of each, measured from its own
+    centres.  Within a tile, b_i is the unit's base_g and y the cell's g
+    from those centres, and d_i = base_g_i + beta * z - (g centre).  The
+    exponent -(y - d_i)^2 / 2 sigma^2 then splits into a (z, unit) factor
+    U = exp(-(d_i^2 - d*^2) / 2 sigma^2), a (unit, g) factor
+    V = exp(y b_i / sigma^2) and a (z, g) exponent e.  Each z-row takes as
+    d* the d of the point b* of the tile's base_g interval that is closest
+    to 0, so U <= 1, V stays within exp(+-h^2) and each cell's largest
+    U * V above exp(-1.5 h^2), h = ``_TILE_HALF_WIDTH``.  The tile's sum
+    over units is exp(k e + log(U^k V^k.T)): e is added as an exponent,
+    so a cell keeps every value the direct exp keeps, and one far from
+    every unit of the tile gets exactly 0 there without touching the other
+    rows.  The products are formed by ``einsum``, whose loop order does
+    not depend on the BLAS thread count.  U and V are written into the
+    z-axis and g-axis :func:`_block_buffers`.
+    """
+    b_sorted = np.sort(base_g)
+    nz, ng = z_grid.size, g_grid.size
+    span = 2.0 * _TILE_HALF_WIDTH * sigma
+    var = sigma * sigma
+    sums = np.zeros((3, nz, ng))
+    u, u_pow = z_buffers
+    v, v_pow = g_buffers
+    prod = np.empty((3, nz, ng))
+    powers_k = np.array([1.0, 2.0, 3.0])[:, None, None]
+    for units in _runs(b_sorted, span, UNIT_BLOCK):
+        b_mid = 0.5 * (b_sorted[units.start] + b_sorted[units.stop - 1])
+        b = b_sorted[units] - b_mid
+        m = b.size
+        for cells in _runs(g_grid, span, ng):
+            g_mid = 0.5 * (g_grid[cells.start] + g_grid[cells.stop - 1])
+            y = g_grid[cells] - g_mid
+            nc = y.size
+            d_row = b_mid + beta * z_grid - g_mid
+            b_star = np.clip(-d_row, b[0], b[-1])
+            d_star = d_row + b_star
+            # d_i^2 - d*^2 = (b_i - b*)(d_i + d*), with no cancellation
+            uu, ut = u[:, :m], u_pow[:, :m]
+            np.subtract(b, b_star[:, None], out=uu)
+            uu *= np.add(b, (d_star + d_row)[:, None], out=ut)
+            uu *= -0.5 / var
+            np.exp(uu, out=uu)
+            vv, vt = v[:nc, :m], v_pow[:nc, :m]
+            np.multiply((y / var)[:, None], b, out=vv)
+            np.exp(vv, out=vv)
+            gap = y - d_star[:, None]
+            e = -0.5 * (gap * gap + 2.0 * y * b_star[:, None]) / var
+            uk, vk, out = uu, vv, prod[:, :, :nc]
+            for k in range(3):
+                if k:
+                    uk = np.multiply(uk, uu, out=ut)
+                    vk = np.multiply(vk, vv, out=vt)
+                np.einsum("zi,gi->zg", uk, vk, out=out[k])
+            sums[:, :, cells] += np.exp(powers_k * e + np.log(out))
+    return sums / _peak_powers(sigma)[:, None, None] / b_sorted.size
 
 
 def impute_drf(gps, scores, outcome, dataset, grid=None):
     """Stages 4-5: counterfactual scores, per-unit imputation, unit averages.
 
     For every grid pair (z, g) each unit's scores are re-evaluated at that
-    treatment level, and the surface cell is theta . the unit means of the
-    outcome terms: z and g are shared by every unit of a cell, so only the
-    score powers need averaging.  Marginal curves plug in the observed
-    values of the other treatment (mu_z(z) averages Y_i(z, G_i), mu_g(g)
-    averages Y_i(Z_i, g)), so they impute per unit and then average; the
-    g-marginal takes each unit's individual score at its observed treatment
-    from ``scores`` (stage 2) rather than evaluating it again.  A surface
-    cell whose value is not finite is NaN and listed in
+    treatment level.  The outcome model is linear in theta and no term
+    mixes the two scores, so every output is theta . the unit means of the
+    outcome terms (:func:`netjps.linear_model.outcome_terms`), and only
+    unit means of score powers are computed, summed one block of units at a
+    time:
+
+    - a surface cell averages over units at a shared (z, g), so it needs
+      the means of phi_i(z)^k and of lambda_i(g | z)^k; the latter come
+      from :func:`_lambda_means` as matrix products, not one exp per unit
+      and cell;
+    - mu_z(z) averages Y_i(z, G_i) and mu_g(g) averages Y_i(Z_i, g), each
+      unit at its own observed value of the other treatment: they need the
+      means of the counterfactual scores' powers per grid point, of
+      G_i * lambda_i(G_i | z), and of the observed-treatment terms.  The
+      g-marginal takes each unit's individual score at its observed
+      treatment from ``scores`` (stage 2).
+
+    A surface cell whose value is not finite is NaN and listed in
     ``meta["flagged_cells"]``.
     """
     grid = grid or GridPolicy()
@@ -280,33 +418,26 @@ def impute_drf(gps, scores, outcome, dataset, grid=None):
     z_grid, g_grid = grid.resolve(dataset.z, g_obs)
     mean_zstar, base_g, beta_gz = _score_parts(gps, dataset)
     sigma_z, sigma_g = gps.z_model.sigma, gps.g_model.sigma
-    k = gps.boxcox.k
     n, nz, ng = dataset.n, z_grid.size, g_grid.size
-    g_col = g_grid[:, None]
+    theta, variant = outcome.fit.theta, outcome.variant
 
-    surface = np.empty((nz, ng))
-    marginal_z = np.empty(nz)
-    # A z-row's (n_g, n) neighborhood scores and their powers, written in
-    # place by every row.  Fresh blocks per row would go back to the OS at
-    # each row's end and be faulted in again, which cost as much as the
-    # arithmetic and made its time erratic.
-    lam, lam_pow = np.empty((ng, n)), np.empty((ng, n))
+    z_buffers, g_buffers = _block_buffers(nz, n), _block_buffers(ng, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for iz, zv in enumerate(z_grid):
-            phi_z = normal_density(boxcox_apply(zv, k), mean_zstar, sigma_z)
-            gmean_z = base_g + beta_gz * zv
-            lam_means = power_means(normal_density(g_col, gmean_z, sigma_g, out=lam), out=lam_pow)
-            surface[iz] = outcome_value(outcome.fit.theta, outcome_terms(
-                zv, g_grid, power_means(phi_z), lam_means, outcome.variant))
-            # marginal over the observed exposure distribution
-            marginal_z[iz] = _unit_mean(outcome, zv, g_obs, powers(phi_z),
-                                        powers(normal_density(g_obs, gmean_z, sigma_g)))
-        gmean_obs = base_g + beta_gz * dataset.z
-        phi_obs = powers(scores.phi)
-        marginal_g = np.array([
-            _unit_mean(outcome, dataset.z, gv, phi_obs, powers(normal_density(gv, gmean_obs, sigma_g)))
-            for gv in g_grid
-        ])
+        phi = _phi_means(z_grid, gps.boxcox.k, mean_zstar, sigma_z, z_buffers)
+        # lambda_i(G_i | z) = N(beta * z; G_i - base_g_i, sigma_g)
+        lam_z = _density_means(beta_gz * z_grid, g_obs - base_g, sigma_g, z_buffers, weight=g_obs)
+        lam_g = _density_means(g_grid, base_g + beta_gz * dataset.z, sigma_g, g_buffers)
+        lam = _lambda_means(z_grid, g_grid, base_g, beta_gz, sigma_g, z_buffers, g_buffers)
+        surface = outcome_value(theta, outcome_terms(
+            powers(z_grid[:, None]), powers(g_grid), tuple(phi[:, :, None]), tuple(lam), variant))
+        g_means = tuple(t.mean() for t in powers(g_obs))
+        marginal_z = outcome_value(theta, outcome_terms(
+            powers(z_grid), g_means, tuple(phi), tuple(lam_z[:3]), variant, g_lam=lam_z[3]))
+        z_means = tuple(t.mean() for t in powers(dataset.z))
+        phi_obs = tuple(t.mean() for t in powers(scores.phi))
+        marginal_g = outcome_value(theta, outcome_terms(
+            z_means, powers(g_grid), phi_obs, tuple(lam_g), variant,
+            z_phi=(dataset.z * scores.phi).mean()))
 
     flagged = [tuple(cell) for cell in np.argwhere(~np.isfinite(surface)).tolist()]
     if flagged:
@@ -314,7 +445,7 @@ def impute_drf(gps, scores, outcome, dataset, grid=None):
         surface[~np.isfinite(surface)] = np.nan
     meta = {
         "n": n,
-        "variant": outcome.variant,
+        "variant": variant,
         "grid": {"n_z": nz, "n_g": ng, "lower_pct": grid.lower_pct, "upper_pct": grid.upper_pct},
         "flagged_cells": flagged,
     }
@@ -422,11 +553,10 @@ def run_naive(dataset, config):
 
     z_grid, _ = config.grid.resolve(dataset.z)
     with np.errstate(over="ignore", invalid="ignore"):
-        marginal_z = np.array([
-            _unit_mean(outcome, zv, None,
-                       powers(normal_density(boxcox_apply(zv, bc.k), mean_zstar, z_model.sigma)))
-            for zv in z_grid
-        ])
+        phi = _phi_means(z_grid, bc.k, mean_zstar, z_model.sigma,
+                         _block_buffers(z_grid.size, dataset.n))
+        marginal_z = outcome_value(outcome.fit.theta, outcome_terms(
+            powers(z_grid), None, tuple(phi), None, outcome.variant))
     drf = DrfGrid(
         z_grid=z_grid, g_grid=None, surface=None,
         marginal_z=marginal_z, marginal_g=None,

@@ -104,19 +104,12 @@ def fit_ols(x, y, names=None):
     return LinearFit(theta=theta, sigma=math.sqrt(rss / n), n=n, rss=rss, names=names)
 
 
-def normal_density(x, mean, sd, out=None):
-    """Gaussian pdf, vectorized over ``x`` and ``mean``.
-
-    With ``out``, an array of the broadcast shape, every step writes there
-    and no array is allocated.
-    """
+def normal_density(x, mean, sd):
+    """Gaussian pdf, vectorized over ``x`` and ``mean``."""
     if not np.isscalar(sd) or not math.isfinite(sd) or sd <= 0:
         raise DomainError(f"normal density requires scalar sd > 0, got {sd!r}")
-    u = np.divide(np.subtract(np.asarray(x, dtype=float), mean, out=out), sd, out=out)
-    # -0.5 * (u * u) equals (-0.5 * u) * u wherever exp can tell them apart:
-    # scaling by a power of two is exact above the subnormal range
-    w = np.multiply(np.multiply(u, u, out=out), -0.5, out=out)
-    return np.divide(np.exp(w, out=out), sd * math.sqrt(2.0 * math.pi), out=out)
+    u = (np.asarray(x, dtype=float) - mean) / sd
+    return np.exp(-0.5 * (u * u)) / (sd * math.sqrt(2.0 * math.pi))
 
 
 def powers(x):
@@ -126,28 +119,22 @@ def powers(x):
     return x, sq, sq * x
 
 
-def power_means(x, out=None):
-    """Means over the last axis of :func:`powers` of ``x``; with ``out``
-    (x's shape), x^2 and then x^3 are formed there."""
-    sq = np.multiply(x, x, out=out)
-    sq_mean = sq.mean(axis=-1)
-    return x.mean(axis=-1), sq_mean, np.multiply(sq, x, out=out).mean(axis=-1)
-
-
-def outcome_terms(z, g, phi_powers, lam_powers, variant):
+def outcome_terms(z, g, phi, lam, variant, z_phi=None, g_lam=None):
     """The outcome polynomial's terms, in the order of the variant's names.
 
-    ``phi_powers`` and ``lam_powers`` are the scores' :func:`powers`, per
-    unit or as unit means; theta . terms is then the imputed outcome, or its
-    unit average wherever a score's multiplier (z or g) is the same for
-    every unit.  The without_interference variant ignores ``g`` and
-    ``lam_powers``.
+    ``z``, ``g``, ``phi`` and ``lam`` are the :func:`powers` of each
+    treatment and score, per unit or as unit means.  A product term is the
+    product of its factors' first powers, which is also its unit mean
+    wherever one factor is the same for every unit; otherwise the caller
+    passes the product's unit mean as ``z_phi`` or ``g_lam``.  theta . terms
+    is then the imputed outcome, or its unit average.  The
+    without_interference variant ignores ``g``, ``lam`` and ``g_lam``.
     """
     if variant not in VARIANTS:
         raise InputError(f"unknown outcome variant {variant!r}")
-    terms = [*powers(z), *phi_powers, z * phi_powers[0]]
+    terms = [*z, *phi, z[0] * phi[0] if z_phi is None else z_phi]
     if variant == "with_interference":
-        terms += [*powers(g), *lam_powers, g * lam_powers[0], z * g]
+        terms += [*g, *lam, g[0] * lam[0] if g_lam is None else g_lam, z[0] * g[0]]
     return [*terms, 1.0]
 
 
@@ -170,7 +157,7 @@ def build_outcome_matrix(z, g, phi, lam, variant):
         if not np.all(np.isfinite(arr)):
             raise InputError(f"non-finite {label} in outcome design")
     z, phi, *g_lam = arrays
-    g, lam_powers = (g_lam[0], powers(g_lam[1])) if g_lam else (None, None)
-    terms = outcome_terms(z, g, powers(phi), lam_powers, variant)
+    g_powers, lam_powers = (powers(g_lam[0]), powers(g_lam[1])) if g_lam else (None, None)
+    terms = outcome_terms(powers(z), g_powers, powers(phi), lam_powers, variant)
     names = WITH_INTERFERENCE_TERMS if g_lam else WITHOUT_INTERFERENCE_TERMS
     return np.column_stack([np.broadcast_to(t, z.shape).ravel() for t in terms]), names

@@ -45,9 +45,14 @@ def boxcox_apply(z, k):
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise DomainError("power transform requires strictly positive finite values")
+    return _boxcox_from_log(np.log(z), k)
+
+
+def _boxcox_from_log(logz, k):
+    """:func:`boxcox_apply` from log z, already taken on a checked domain."""
     if abs(k) < _K_LOG_LIMIT:
-        return np.log(z)
-    return np.expm1(k * np.log(z)) / k
+        return logz
+    return np.expm1(k * logz) / k
 
 
 @dataclass(frozen=True)
@@ -78,10 +83,12 @@ def boxcox_zero_skew(z):
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise DomainError("zero-skewness transform requires strictly positive finite values")
+    # one log and one domain check per root, not per skewness evaluation
+    logz = np.log(z)
 
     def s(k):
         with np.errstate(over="ignore", invalid="ignore"):
-            t = boxcox_apply(z, k)
+            t = _boxcox_from_log(logz, k)
         if not np.all(np.isfinite(t)):
             return math.nan
         try:
@@ -133,6 +140,6 @@ def boxcox_zero_skew(z):
                 s_lo *= 0.5
             kept = -1
 
-    zstar = boxcox_apply(z, k)
+    zstar = _boxcox_from_log(logz, k)
     fit = BoxCoxFit(k=float(k), skewness=float(s_k), source_min=float(z.min()))
     return fit, zstar

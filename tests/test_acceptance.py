@@ -221,7 +221,7 @@ def test_criterion_6_bootstrap_determinism():
 
 @pytest.mark.slow
 @pytest.mark.skipif(os.environ.get("NETJPS_SLOW") != "1",
-                    reason="coverage study (~75 s on 2 cores); set NETJPS_SLOW=1")
+                    reason="coverage study (~70 s on 2 cores); set NETJPS_SLOW=1")
 def test_criterion_6_bootstrap_coverage():
     with criterion(6, "95% bands cover true marginal at 5 interior points in [88%, 99%]; < 30 min"):
         t0 = time.monotonic()

@@ -1,7 +1,11 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +20,11 @@ from netjps.config import (
     serialize_config,
 )
 from netjps.errors import ConfigError
+from netjps.io import write_edges_csv, write_panel_csv
 from netjps.jps import ContrastSpec, GridPolicy, JpsConfig, run_jps
 from netjps.synth import OutcomeRule, Scenario, generate
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 SIM_CONFIG = """
@@ -334,6 +341,34 @@ class TestCommands:
         assert (both / "naive_drf.json").read_bytes() == (naive / "drf.json").read_bytes()
         assert ((both / "naive_marginal_z.csv").read_bytes()
                 == (naive / "drf_marginal_z.csv").read_bytes())
+
+    def test_drf_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 4000 rows on a 60 x 60 grid: a plain BLAS product of the surface's
+        # unit blocks sums in an order that changes with the thread count
+        ds, adj = generate(Scenario(
+            n_units=1000, n_periods=4, edge_prob=0.005, weight_log_mean=5.3,
+            weight_log_sd=0.4, n_covariates=2, treatment_coefs=(0.2, -0.1),
+            outcome=OutcomeRule(z=1.0, g=0.5, x=(0.1, 0.1)), seed=11))
+        assert ds.n >= 4000
+        write_panel_csv(ds, tmp_path / "panel.csv")
+        write_edges_csv(adj, tmp_path / "edges.csv")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        docs = []
+        for threads in ("1", "2"):
+            rundir = tmp_path / f"threads{threads}"
+            runfile = write(tmp_path / f"threads{threads}.cfg", RUN_CONFIG.format(
+                panel=tmp_path / "panel.csv", edges=tmp_path / "edges.csv",
+                out=rundir, variant="jps", b=3,
+            ).replace("grid.n_z = 8", "grid.n_z = 60").replace("grid.n_g = 6", "grid.n_g = 60"))
+            proc = subprocess.run(
+                [sys.executable, "-m", "netjps.cli", "drf", "--config", runfile],
+                env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True,
+                text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            docs.append((rundir / "drf.json").read_bytes())
+        assert json.loads(docs[0])["bands"]["b_effective"] == 3
+        assert docs[0] == docs[1]
 
     def test_flagged_cells_written_as_null(self, simulated, tmp_path):
         # z^3 overflows at z = 1e103: every document stays strict JSON, with

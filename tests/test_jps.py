@@ -200,16 +200,65 @@ class TestImputeAndMarginals:
         res2 = run_jps(ds.subset(perm), config_for(ds, grid))
         assert np.allclose(res1.drf.surface, res2.drf.surface, atol=1e-9)
 
+    @staticmethod
+    def loop_oracle(res, cfg, ds):
+        return loop_impute(res.outcome.fit.theta, "with_interference", ds, res.gps.boxcox.k,
+                           res.gps.z_model, cfg.x_z, res.drf.z_grid,
+                           res.gps.g_model, cfg.x_g, res.drf.g_grid)
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
     def test_matches_per_cell_loop_oracle(self):
         ds = make_dataset(n=500, seed=83)
         cfg = config_for(ds, GridPolicy(n_z=7, n_g=6))
         res = run_jps(ds, cfg)
-        want = loop_impute(res.outcome.fit.theta, "with_interference", ds, res.gps.boxcox.k,
-                           res.gps.z_model, cfg.x_z, res.drf.z_grid,
-                           res.gps.g_model, cfg.x_g, res.drf.g_grid)
+        want = self.loop_oracle(res, cfg, ds)
         got = (res.drf.surface, res.drf.marginal_z, res.drf.marginal_g)
         for a, b in zip(got, want):
-            assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
+            self.assert_close(a, b)
+
+    def test_small_sigma_g_panel_matches_loop_oracle(self):
+        # base_g spans hundreds of sigma_g: the surface sums run over many
+        # unit tiles and g tiles, each with its own centres
+        ds = make_dataset(n=500, seed=85, g_rule=lambda z, x, rng: (
+            0.5 * z + 3.0 * x[:, 0] + rng.normal(0, 0.02, z.size)))
+        cfg = config_for(ds, GridPolicy(n_z=5, n_g=9))
+        res = run_jps(ds, cfg)
+        xg = np.column_stack([np.ones(ds.n)] + [ds.covariates[c] for c in cfg.x_g])
+        base_g = xg @ res.gps.g_model.theta[:-1]
+        assert np.ptp(base_g) / res.gps.g_model.sigma > 80
+        want = self.loop_oracle(res, cfg, ds)
+        got = (res.drf.surface, res.drf.marginal_z, res.drf.marginal_g)
+        for a, b in zip(got, want):
+            self.assert_close(a, b)
+
+    def test_g_values_far_outside_support_match_loop_oracle(self):
+        ds = make_dataset(n=500, seed=87)
+        g_values = (-30.0, -2.0, 0.5, 1.0, 6.0, 40.0)
+        assert g_values[0] < ds.g.min() - 20 and g_values[-1] > ds.g.max() + 20
+        cfg = config_for(ds, GridPolicy(n_z=5, g_values=g_values))
+        res = run_jps(ds, cfg)
+        want = self.loop_oracle(res, cfg, ds)
+        # column by column: the far columns' cubes would swamp a shared scale
+        for j in range(len(g_values)):
+            self.assert_close(res.drf.surface[:, j], want[0][:, j])
+        self.assert_close(res.drf.marginal_z, want[1])
+        self.assert_close(res.drf.marginal_g, want[2])
+
+    def test_extreme_z_row_leaves_other_rows_matching_loop_oracle(self):
+        # the imputation at z = 1e103 overflows; the rows beside it must not
+        # borrow its scale
+        ds = make_dataset(n=500, seed=89)
+        cfg = config_for(ds, GridPolicy(z_values=(1.0, 1.2, 1e103), n_g=6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run_jps(ds, cfg)
+            want = self.loop_oracle(res, cfg, ds)
+        assert np.all(np.isfinite(res.drf.surface[:2])) and np.all(np.isnan(res.drf.surface[2]))
+        self.assert_close(res.drf.surface[:2], want[0][:2])
+        self.assert_close(res.drf.marginal_z[:2], want[1][:2])
+        self.assert_close(res.drf.marginal_g, want[2])
 
     def test_naive_matches_per_cell_loop_oracle(self):
         ds = make_dataset(n=500, seed=83)

@@ -100,14 +100,6 @@ class TestNormalDensity:
         riemann = np.trapezoid(normal_density(grid, 1.3, 0.7), grid)
         assert riemann == pytest.approx(1.0, abs=1e-6)
 
-    def test_out_is_written_and_matches(self):
-        x = np.linspace(-3.0, 3.0, 7)[:, None]
-        mean = np.array([-1.0, 0.0, 0.5, 2.0])
-        out = np.empty((7, 4))
-        got = normal_density(x, mean, 0.8, out=out)
-        assert got is out
-        assert np.array_equal(out, normal_density(x, mean, 0.8))
-
     @pytest.mark.parametrize("sd", [0.0, -1.0, np.nan])
     def test_bad_sd(self, sd):
         with pytest.raises(DomainError):
