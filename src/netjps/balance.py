@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import InputError, SingularDesignError
 from .io import jsonable
@@ -34,6 +33,10 @@ def chi2_sf(x, df):
         raise InputError(f"chi-square tail needs df >= 1, got {df}")
     if x < 0:
         raise InputError("chi-square statistic must be >= 0")
+    # imported here, not at module level: loading scipy.special slows every
+    # `import netjps`, and only the balance check needs it
+    from scipy.special import gammaincc
+
     return float(gammaincc(df / 2.0, x / 2.0))
 
 

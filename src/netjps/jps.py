@@ -16,9 +16,11 @@ curve, the naive curve) is theta . the unit means of the outcome terms
 definition).  Grid imputation therefore forms only unit sums of score
 powers, accumulated over blocks of ``UNIT_BLOCK`` units, so its working
 memory is O((n_z + n_g) * UNIT_BLOCK) whatever the panel's size.  The
-surface's neighborhood-score sums factor into matrix products over the
-units, which take O((n_z + n_g) * n) exps where a direct evaluation takes
-one per unit and cell.
+surface's neighborhood-score sums factor into products over the units,
+which take O((n_z + n_g) * n) exps where a direct evaluation takes one per
+unit and cell.  Every contraction over units is a set of BLAS dot products
+(``np.vecdot``) of at most ``UNIT_BLOCK`` terms each, so each output sums
+in one fixed order whatever the BLAS thread count.
 """
 
 import logging
@@ -120,10 +122,17 @@ class GpsFit:
 
 @dataclass(frozen=True)
 class PropensityScores:
-    """Gaussian density values of both scores at the observed treatments."""
+    """Gaussian density values of both scores at the observed treatments.
+
+    :func:`predict_scores` also keeps the per-unit conditional means it
+    evaluated them at, the Z* mean and the part of the G mean without the
+    individual treatment (``base_g``), for :func:`impute_drf` to reuse.
+    """
 
     phi: np.ndarray
     lam: np.ndarray
+    mean_zstar: np.ndarray | None = None
+    base_g: np.ndarray | None = None
 
     def __post_init__(self):
         for arr, label in ((self.phi, "individual"), (self.lam, "neighborhood")):
@@ -225,14 +234,13 @@ def fit_treatment_models(dataset, config):
 
 
 def _score_parts(gps, dataset):
-    """Per-unit conditional means used by both score prediction and imputation."""
+    """Per-unit conditional means of both treatment models: the Z* mean and
+    base_g, the G mean without its beta_gz * z term."""
     mean_zstar = _zstar_mean(gps.z_model, dataset)
     if gps.g_model.sigma <= 0:
         raise DomainError("neighborhood-treatment residual scale is zero; scores degenerate")
     xg_base, _ = _design(dataset, gps.x_g)
-    beta_gz = gps.g_model.coef("z")
-    base_g = xg_base @ gps.g_model.theta[:-1]
-    return mean_zstar, base_g, beta_gz
+    return mean_zstar, xg_base @ gps.g_model.theta[:-1]
 
 
 def predict_scores(gps, dataset):
@@ -242,11 +250,12 @@ def predict_scores(gps, dataset):
     treatment (no Jacobian back to the raw scale: the score only enters the
     outcome model as a balancing covariate).
     """
-    mean_zstar, base_g, beta_gz = _score_parts(gps, dataset)
+    mean_zstar, base_g = _score_parts(gps, dataset)
     zstar = boxcox_apply(dataset.z, gps.boxcox.k)
     phi = normal_density(zstar, mean_zstar, gps.z_model.sigma)
-    lam = normal_density(dataset.require_g(), base_g + beta_gz * dataset.z, gps.g_model.sigma)
-    return PropensityScores(phi=phi, lam=lam)
+    lam = normal_density(dataset.require_g(), base_g + gps.g_model.coef("z") * dataset.z,
+                         gps.g_model.sigma)
+    return PropensityScores(phi=phi, lam=lam, mean_zstar=mean_zstar, base_g=base_g)
 
 
 def fit_outcome(dataset, scores, variant="with_interference"):
@@ -256,7 +265,12 @@ def fit_outcome(dataset, scores, variant="with_interference"):
     return OutcomeFit(fit=fit, variant=variant)
 
 
-UNIT_BLOCK = 512  # units per block of every unit sum in grid imputation
+# Units per block of every unit sum in grid imputation.  It also bounds the
+# length of every np.vecdot contraction, which numpy runs as one BLAS ddot
+# per output value for float64.  OpenBLAS computes a ddot of at most 10000
+# terms on one thread, so its summation order, and the output's bits, do
+# not depend on the BLAS thread count as long as UNIT_BLOCK <= 10000.
+UNIT_BLOCK = 512
 
 # A surface tile spans at most h = this many sigma_g either side of its
 # centre, in base_g and in g.  At the third power of the score its factors
@@ -310,9 +324,8 @@ def _density_means(x, means, sd, buffers, weight=None):
         sums[1] += p.sum(axis=1)
         sums[2] += np.multiply(p, d, out=p).sum(axis=1)
         if weight is not None:
-            # einsum's own loop, not BLAS: the sum order cannot depend on
-            # the BLAS thread count
-            sums[3] += np.einsum("ji,i->j", d, weight[units])
+            # one ddot per row, at most UNIT_BLOCK long: a fixed sum order
+            sums[3] += np.vecdot(d, weight[units])
     peaks = _peak_powers(sd)
     sums[:3] /= peaks[:, None]
     sums[3:] /= peaks[0]
@@ -344,9 +357,10 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers):
     over units is exp(k e + log(U^k V^k.T)): e is added as an exponent,
     so a cell keeps every value the direct exp keeps, and one far from
     every unit of the tile gets exactly 0 there without touching the other
-    rows.  The products are formed by ``einsum``, whose loop order does
-    not depend on the BLAS thread count.  U and V are written into the
-    z-axis and g-axis :func:`_block_buffers`.
+    rows.  The products are formed by ``np.vecdot``, one BLAS dot of at
+    most ``UNIT_BLOCK`` terms per cell, whose summation order does not
+    depend on the BLAS thread count.  U and V are written into the z-axis
+    and g-axis :func:`_block_buffers`.
     """
     b_sorted = np.sort(base_g)
     nz, ng = z_grid.size, g_grid.size
@@ -384,7 +398,7 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers):
                 if k:
                     uk = np.multiply(uk, uu, out=ut)
                     vk = np.multiply(vk, vv, out=vt)
-                np.einsum("zi,gi->zg", uk, vk, out=out[k])
+                np.vecdot(uk[:, None, :], vk[None, :, :], out=out[k])
             sums[:, :, cells] += np.exp(powers_k * e + np.log(out))
     return sums / _peak_powers(sigma)[:, None, None] / b_sorted.size
 
@@ -410,13 +424,16 @@ def impute_drf(gps, scores, outcome, dataset, grid=None):
       g-marginal takes each unit's individual score at its observed
       treatment from ``scores`` (stage 2).
 
-    A surface cell whose value is not finite is NaN and listed in
-    ``meta["flagged_cells"]``.
+    The per-unit conditional means come from ``scores``, as
+    :func:`predict_scores` leaves them.  A surface cell whose value is not
+    finite is NaN and listed in ``meta["flagged_cells"]``.
     """
+    if scores.mean_zstar is None or scores.base_g is None or scores.base_g.size != dataset.n:
+        raise InputError("imputation needs the scores that predict_scores gives on this dataset")
     grid = grid or GridPolicy()
     g_obs = dataset.require_g()
     z_grid, g_grid = grid.resolve(dataset.z, g_obs)
-    mean_zstar, base_g, beta_gz = _score_parts(gps, dataset)
+    mean_zstar, base_g, beta_gz = scores.mean_zstar, scores.base_g, gps.g_model.coef("z")
     sigma_z, sigma_g = gps.z_model.sigma, gps.g_model.sigma
     n, nz, ng = dataset.n, z_grid.size, g_grid.size
     theta, variant = outcome.fit.theta, outcome.variant

@@ -370,6 +370,17 @@ class TestCommands:
         assert json.loads(docs[0])["bands"]["b_effective"] == 3
         assert docs[0] == docs[1]
 
+    def test_import_leaves_scipy_special_unloaded(self):
+        # only the balance check needs scipy.special; loading it at import time
+        # would slow every command
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, netjps.cli; print('scipy.special' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_flagged_cells_written_as_null(self, simulated, tmp_path):
         # z^3 overflows at z = 1e103: every document stays strict JSON, with
         # null exactly where the in-process estimate is NaN

@@ -19,7 +19,7 @@ from netjps.jps import (
     run_naive,
 )
 from netjps.linear_model import build_outcome_matrix
-from netjps import synth
+from netjps import jps, synth
 
 from oracles import dense_pipeline, loop_impute
 
@@ -327,6 +327,28 @@ class TestImputeAndMarginals:
             naive = run_naive(ds, cfg).drf
         assert np.isfinite(naive.marginal_z[0]) and np.isnan(naive.marginal_z[1])
         assert "1 non-finite marginal_z entries flagged" in caplog.text
+
+    def test_score_means_computed_once_per_run(self, monkeypatch):
+        # stage 2 hands its conditional means to imputation through the scores
+        calls = []
+        score_parts = jps._score_parts
+
+        def counted(*args):
+            calls.append(args)
+            return score_parts(*args)
+
+        monkeypatch.setattr(jps, "_score_parts", counted)
+        ds = make_dataset(n=200, seed=43)
+        res = run_jps(ds, config_for(ds, GridPolicy(n_z=3, n_g=3)))
+        assert len(calls) == 1
+        with pytest.raises(InputError, match="predict_scores"):
+            impute_drf(res.gps, replace(res.scores, base_g=None), res.outcome, ds)
+
+    def test_unit_block_bounds_single_threaded_blas_dot(self):
+        # OpenBLAS runs a ddot of at most 10000 terms on one thread; np.vecdot
+        # contractions of at most UNIT_BLOCK terms therefore sum in one order
+        # whatever the BLAS thread count
+        assert jps.UNIT_BLOCK <= 10_000
 
     def test_non_finite_imputation_input_rejected(self):
         ds = make_dataset(n=200, seed=43)

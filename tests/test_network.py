@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse import SparseEfficiencyWarning
 
 from netjps.errors import DegenerateNormalizerError, InputError
 from netjps.network import (
@@ -293,7 +296,10 @@ def test_period_locality():
 
 def test_adjacency_blocks_are_readonly():
     adj = build_adjacency([("A", "B", 2000, 1.0)], NODES3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError), warnings.catch_warnings():
+        # w[0, 0] is not stored: scipy warns that the write changes the
+        # sparsity structure before the read-only arrays refuse it
+        warnings.simplefilter("ignore", SparseEfficiencyWarning)
         adj.block(2000).w[0, 0] = 5.0
 
 
