@@ -11,13 +11,22 @@ import csv
 import dataclasses
 import json
 import math
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .errors import InputError
-from .network import EdgeTable
+from .network import EdgeTable, code_labels
 
 EDGE_COLUMNS = ("source", "target", "period", "weight")
+
+
+# Rows read, checked and parsed at a time.  No per-cell str outlives its
+# block.  A block's row lists are GC-tracked containers: at 512 rows they die
+# young, while at 8192 rows they lived into the oldest generation and the full
+# collections that rescanned them cost a quarter of the read time.
+_BLOCK_ROWS = 512
 
 
 def _header(reader, path):
@@ -25,31 +34,6 @@ def _header(reader, path):
         return next(reader)
     except StopIteration:
         raise InputError(f"{path}: empty file, header required") from None
-
-
-def _read_columns(path):
-    """Stream a header + rows CSV into one list of cells per column.
-
-    Blank lines are skipped and every other row must be as wide as the
-    header.  No row object outlives its line: a long-lived row list per line
-    is a GC-tracked container, and hundreds of thousands of them make the
-    cyclic collector rescan them again and again.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path)
-        columns = [[] for _ in header]
-        appends = [column.append for column in columns]
-        width = len(header)
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise InputError(f"{path}: row {reader.line_num}: "
-                                 f"expected {width} fields, got {len(row)}")
-            for append, cell in zip(appends, row):
-                append(cell)
-    return header, columns
 
 
 def _parse_float(path, line_num, column, text):
@@ -62,49 +46,99 @@ def _parse_float(path, line_num, column, text):
     return v
 
 
-def _float_columns(path, columns, numeric):
-    """``{name: float64 array}`` for the ``(position, name)`` pairs in
-    ``numeric``, each column parsed in one numpy call.
+def _rescan(path, check):
+    """Read the file again, calling ``check(line_num, row)`` on every
+    non-blank row below the header: the error path names its first bad row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in filter(None, reader):
+            check(reader.line_num, row)
 
-    numpy parses a str as ``float()`` does, so a column fails here exactly
-    when one of its cells fails :func:`_parse_float`.  The file, whose header
-    and row widths :func:`_read_columns` has checked, is then scanned again
-    to raise that function's message for the first bad cell in row-major
-    order.
+
+def _read_blocks(path, layout):
+    """Stream a header + rows CSV ``_BLOCK_ROWS`` rows at a time.
+
+    ``layout(header)`` returns the positions of the label columns and the
+    ``(position, name)`` pairs of the numeric columns, or raises
+    :class:`InputError`.  Each block yields its label columns (tuples of
+    str) and ``{name: float64 array}``, all numeric cells of the block
+    parsed in one numpy call (which parses a str as ``float()`` does).  A
+    file with no rows yields one empty block.
+
+    Errors come in the order of a whole-file read.  Blank lines are skipped
+    and every other row must be as wide as the header; then the header must
+    satisfy ``layout``; then every numeric cell must be a finite number.
+    After a block fails to parse, nothing more is yielded but the rest of
+    the file is still width-checked, and only then is the file scanned again
+    for its first bad cell in row-major order.
     """
-    out = {}
-    for j, name in numeric:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = _header(reader, path)
+        width = len(header)
         try:
-            values = np.array(columns[j], dtype=float)
-        except ValueError:
-            values = None
-        if values is None or not np.isfinite(values).all():
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                for row in filter(None, reader):
-                    for k, column in numeric:
-                        _parse_float(path, reader.line_num, column, row[k])
-        out[name] = values
-    return out
+            labels, numeric = layout(header)
+            error = None
+        except InputError as exc:
+            error = exc
+        failed = error is not None
+        rows = filter(None, reader)
+        last = False
+        while not last:
+            block = list(islice(rows, _BLOCK_ROWS))
+            last = len(block) < _BLOCK_ROWS
+            if set(map(len, block)) - {width}:
+                _rescan(path, partial(_check_width, path, width))
+            if failed:
+                continue
+            columns = list(zip(*block)) or [()] * width
+            try:
+                values = np.array([columns[j] for j, _ in numeric], dtype=float)
+                failed = not np.isfinite(values).all()
+            except ValueError:
+                failed = True
+            if not failed:
+                yield [columns[j] for j in labels], {name: v for (_, name), v in zip(numeric, values)}
+    if error is not None:
+        raise error
+    if failed:
+        _rescan(path, partial(_check_numbers, path, numeric))
+
+
+def _check_width(path, width, line_num, row):
+    if len(row) != width:
+        raise InputError(f"{path}: row {line_num}: expected {width} fields, got {len(row)}")
+
+
+def _check_numbers(path, numeric, line_num, row):
+    for j, column in numeric:
+        _parse_float(path, line_num, column, row[j])
+
+
+def _decode(labels, codes):
+    """Object array of the labels that ``codes`` (a list of code arrays) name."""
+    return np.array(list(labels), dtype=object)[np.concatenate(codes)]
 
 
 def read_edges_csv(path):
     """Edge-list CSV with required header source,target,period,weight.
 
     Returns an :class:`~netjps.network.EdgeTable` with the labels as read
-    (strings).  The label cells are coded here, so no per-edge Python object
-    outlives the call.
+    (strings).  The label cells are coded block by block, so ingest keeps
+    only the growing label dicts and the code and weight arrays.
     """
-    header, columns = _read_columns(path)
-    try:
-        idx = [header.index(c) for c in EDGE_COLUMNS]
-    except ValueError:
-        missing = next(c for c in EDGE_COLUMNS if c not in header)
-        raise InputError(f"{path}: missing edge column {missing!r}; "
-                         f"header must contain {list(EDGE_COLUMNS)}") from None
-    weight = _float_columns(path, columns, [(idx[3], "weight")])["weight"]
-    return EdgeTable.from_columns(*(columns[j] for j in idx[:3]), weight)
+    def layout(header):
+        try:
+            idx = [header.index(c) for c in EDGE_COLUMNS]
+        except ValueError:
+            missing = next(c for c in EDGE_COLUMNS if c not in header)
+            raise InputError(f"{path}: missing edge column {missing!r}; "
+                             f"header must contain {list(EDGE_COLUMNS)}") from None
+        return idx[:3], [(idx[3], "weight")]
+
+    return EdgeTable.from_blocks((*labels, values["weight"])
+                                 for labels, values in _read_blocks(path, layout))
 
 
 def read_panel_csv(path, unit_col, period_col):
@@ -113,21 +147,27 @@ def read_panel_csv(path, unit_col, period_col):
     Returns (units, periods, columns) with ``columns`` an ordered name ->
     float array mapping covering all non-key columns.
     """
-    header, columns = _read_columns(path)
-    for c in (unit_col, period_col):
-        if c not in header:
-            raise InputError(f"{path}: key column {c!r} not in header {header}")
-    iu, ip = header.index(unit_col), header.index(period_col)
-    numeric = [(j, name) for j, name in enumerate(header) if j not in (iu, ip)]
-    names = [name for _, name in numeric]
-    for name in names:
-        if names.count(name) > 1:
-            raise InputError(f"{path}: column {name!r} appears more than once in the header")
-    return (
-        np.asarray(columns[iu], dtype=object),
-        np.asarray(columns[ip], dtype=object),
-        _float_columns(path, columns, numeric),
-    )
+    def layout(header):
+        for c in (unit_col, period_col):
+            if c not in header:
+                raise InputError(f"{path}: key column {c!r} not in header {header}")
+        keys = header.index(unit_col), header.index(period_col)
+        numeric = [(j, name) for j, name in enumerate(header) if j not in keys]
+        names = [name for _, name in numeric]
+        for name in names:
+            if names.count(name) > 1:
+                raise InputError(f"{path}: column {name!r} appears more than once in the header")
+        return keys, numeric
+
+    units, periods = {}, {}
+    unit_codes, period_codes, parts = [], [], {}
+    for (unit_cells, period_cells), values in _read_blocks(path, layout):
+        unit_codes.append(code_labels(units, unit_cells))
+        period_codes.append(code_labels(periods, period_cells))
+        for name, column in values.items():
+            parts.setdefault(name, []).append(column)
+    columns = {name: np.concatenate(column) for name, column in parts.items()}
+    return _decode(units, unit_codes), _decode(periods, period_codes), columns
 
 
 def _exact(values):

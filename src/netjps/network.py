@@ -15,7 +15,7 @@ here are safe to call concurrently.
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -125,21 +125,37 @@ class EdgeTable:
         return self.weight.shape[0]
 
     @classmethod
-    def from_columns(cls, sources, targets, periods, weights):
-        """Factorize label sequences; labels are coded in first-appearance order."""
+    def from_blocks(cls, blocks):
+        """From one or more (sources, targets, periods, weights) blocks: three
+        label sequences and a float64 array.
+
+        Sources and targets are coded into separate dicts as they arrive;
+        units then take their order of first appearance over all sources,
+        then all targets, and periods theirs.
+        """
+        sources, targets, periods = {}, {}, {}
+        parts = ([], [], [], [])
+        for block in blocks:
+            for labels, part, cells in zip((sources, targets, periods), parts, block):
+                part.append(code_labels(labels, cells))
+            parts[3].append(block[3])
+        columns = []
+        for part in parts:  # join each column, then drop its blocks
+            columns.append(np.concatenate(part))
+            part.clear()
+        source, target, period, weight = columns
         units = dict.fromkeys(chain(sources, targets))
-        period_labels = dict.fromkeys(periods)
-        source, target = _codes(units, sources, targets)
-        (period,) = _codes(period_labels, periods)
-        return cls(units=tuple(units), periods=tuple(period_labels), source=source,
-                   target=target, period=period, weight=np.asarray(weights, dtype=float))
+        position = dict(zip(units, range(len(units))))
+        remap = np.fromiter(map(position.__getitem__, targets), dtype=np.intp, count=len(targets))
+        return cls(units=tuple(units), periods=tuple(periods), source=source,
+                   target=remap[target], period=period, weight=weight)
 
     @classmethod
     def from_records(cls, edges):
         """From an iterable of (source, target, period, weight) tuples."""
         sources, targets, periods, weights = list(zip(*edges, strict=True)) or ((),) * 4
-        return cls.from_columns(sources, targets, periods,
-                                np.fromiter(map(float, weights), dtype=float, count=len(weights)))
+        weights = np.fromiter(map(float, weights), dtype=float, count=len(weights))
+        return cls.from_blocks([(sources, targets, periods, weights)])
 
     def record(self, k):
         """Edge k as a (source, target, period, weight) tuple."""
@@ -147,11 +163,12 @@ class EdgeTable:
                 self.periods[self.period[k]], float(self.weight[k]))
 
 
-def _codes(labels, *columns):
-    """Each column's entries as positions among the keys of ``labels``."""
-    position = dict(zip(labels, range(len(labels))))
-    return [np.fromiter(map(position.__getitem__, column), dtype=np.intp, count=len(column))
-            for column in columns]
+def code_labels(labels, cells):
+    """The codes of ``cells`` in ``labels``, a label -> code dict that first
+    grows by each new label in order of first appearance."""
+    fresh = list(filterfalse(labels.__contains__, dict.fromkeys(cells)))
+    labels.update(zip(fresh, range(len(labels), len(labels) + len(fresh))))
+    return np.fromiter(map(labels.__getitem__, cells), dtype=np.intp, count=len(cells))
 
 
 def _check_edge(source, target, period, weight, index_by_period):
@@ -171,6 +188,29 @@ def _check_edge(source, target, period, weight, index_by_period):
             raise InputError(
                 f"edge ({source!r}, {target!r}, {period!r}) references unregistered unit {unit!r}"
             )
+
+
+def _block_csr(weight, rows, cols, n):
+    """Read-only (n, n) CSR of the edges cols -> rows: duplicates summed, no
+    stored zeros."""
+    w = coo_array((weight, (rows, cols)), shape=(n, n)).tocsr()
+    w.sum_duplicates()
+    w.eliminate_zeros()
+    for arr in (w.data, w.indices, w.indptr):
+        arr.setflags(write=False)
+    return w
+
+
+def _block_positions(table, sel, index):
+    """Positions in ``index`` (a unit -> position dict) of the targets and
+    sources of the edges ``sel`` of ``table``, -1 where unregistered."""
+    target, source = table.target[sel], table.source[sel]
+    used = np.zeros(len(table.units), dtype=bool)
+    used[target] = True
+    used[source] = True
+    lookup = np.full(len(table.units), -1, dtype=np.int64)
+    lookup[used] = [index.get(table.units[k], -1) for k in np.flatnonzero(used).tolist()]
+    return lookup[target], lookup[source]
 
 
 def build_adjacency(edges, nodes):
@@ -196,41 +236,36 @@ def build_adjacency(edges, nodes):
         index.setdefault(unit, len(index))
     table = edges if isinstance(edges, EdgeTable) else EdgeTable.from_records(edges)
 
-    # block positions of each edge's (target, source), -1 where unregistered;
-    # the stable sort keeps each period's edges in input order
-    ends = np.stack((table.target, table.source))
-    positions = np.full(ends.shape, -1, dtype=np.int64)
+    # one period at a time: the block positions of its edges' (target,
+    # source), then its CSR; the stable sort keeps each period's edges in
+    # input order.  Only the mask of bad edges spans periods, and once an
+    # edge is bad no further CSR is built.
+    weight = table.weight
+    bad = ~np.isfinite(weight) | (weight < 0) | (table.source == table.target)
+    clean = not bad.any()
     order = np.argsort(table.period, kind="stable")
     bounds = np.searchsorted(table.period, np.arange(len(table.periods) + 1), sorter=order)
-    in_period = {}
+    built = {}
     for code, period in enumerate(table.periods):
+        sel = order[bounds[code]:bounds[code + 1]]
         index = index_by_period.get(period)
         if index is None:
+            bad[sel] = True
+            clean = False
             continue
-        sel = order[bounds[code]:bounds[code + 1]]
-        period_ends = ends[:, sel]
-        used = np.zeros(len(table.units), dtype=bool)
-        used[period_ends] = True
-        lookup = np.full(len(table.units), -1, dtype=np.int64)
-        lookup[used] = [index.get(table.units[k], -1) for k in np.flatnonzero(used).tolist()]
-        positions[:, sel] = lookup[period_ends]
-        in_period[period] = sel
-
-    weight = table.weight
-    bad = (~np.isfinite(weight) | (weight < 0) | (table.source == table.target)
-           | (positions < 0).any(axis=0))
-    if bad.any():
+        rows, cols = _block_positions(table, sel, index)
+        unregistered = (rows < 0) | (cols < 0)
+        bad[sel] |= unregistered
+        clean = clean and not unregistered.any()
+        if clean:
+            built[period] = _block_csr(weight[sel], rows, cols, len(index))
+    if not clean:
         _check_edge(*table.record(int(np.argmax(bad))), index_by_period)
 
+    none = np.empty(0, dtype=np.intp)
     blocks = {}
     for period, index in index_by_period.items():
-        sel = in_period.get(period, np.empty(0, dtype=np.intp))
-        w = coo_array((weight[sel], (positions[0, sel], positions[1, sel])),
-                      shape=(len(index), len(index))).tocsr()
-        w.sum_duplicates()
-        w.eliminate_zeros()
-        for arr in (w.data, w.indices, w.indptr):
-            arr.setflags(write=False)
+        w = built[period] if period in built else _block_csr(weight[none], none, none, len(index))
         blocks[period] = PeriodBlock(units=tuple(index), index=index, w=w)
     return AdjacencyView(periods=tuple(index_by_period), blocks=blocks)
 

@@ -99,6 +99,70 @@ class Scenario:
 
 def generate(scenario):
     """Draw one panel: returns (PanelDataset with exposures, AdjacencyView)."""
+    n = scenario.n_units
+
+    def draw_edges(rng, x):
+        mask = rng.random((n, n)) < scenario.edge_prob
+        np.fill_diagonal(mask, False)
+        logw = rng.normal(scenario.weight_log_mean, scenario.weight_log_sd, size=(n, n))
+        w = np.where(mask, np.exp(logw), 0.0)
+        loading = _weight_loading(scenario, x)
+        if loading is not None:
+            w = w * loading[:, None]
+        rows, cols = np.nonzero(w)  # edge j -> i has weight w[i, j]
+        return rows, cols, w[rows, cols]
+
+    return _draw_panel(scenario, draw_edges)
+
+
+def generate_sparse(scenario, in_degree):
+    """Draw one panel in which each unit receives an edge from ``in_degree``
+    distinct other units per period, drawn uniformly: O(n_units * in_degree)
+    memory, where :func:`generate` draws dense (n, n) arrays.
+
+    Covariates, treatments, weights and outcomes follow ``scenario`` as in
+    :func:`generate`; ``edge_prob`` is not used.  With ``weight_log_mean`` =
+    log(n_units / in_degree) the plain exposure stays O(1) whatever n_units.
+    Returns (PanelDataset with exposures, AdjacencyView).
+    """
+    n = scenario.n_units
+    if not 0 < in_degree < n:
+        raise InputError("in-degree must be at least 1 and below the number of units")
+    targets = np.repeat(np.arange(n), in_degree)
+
+    def draw_edges(rng, x):
+        # distinct offsets 1..n-1 per target: distinct sources, never the target
+        offsets = rng.integers(1, n, size=(n, in_degree))
+        while (repeated := (np.diff(np.sort(offsets, axis=1), axis=1) == 0).any(axis=1)).any():
+            offsets[repeated] = rng.integers(1, n, size=(int(repeated.sum()), in_degree))
+        sources = (targets + offsets.ravel()) % n
+        w = np.exp(rng.normal(scenario.weight_log_mean, scenario.weight_log_sd, size=targets.size))
+        loading = _weight_loading(scenario, x)
+        if loading is not None:
+            w = w * loading[targets]
+        keep = w > 0
+        return targets[keep], sources[keep], w[keep]
+
+    return _draw_panel(scenario, draw_edges)
+
+
+def _weight_loading(scenario, x):
+    """Each receiving unit's weight factor, or None without a loading.
+
+    A linear multiplicative loading on the receiving unit's first covariate
+    keeps E[G | x] linear; it is clipped to keep weights >= 0.
+    """
+    if scenario.weight_covariate_coef == 0.0:
+        return None
+    factor = 1.0 + scenario.weight_covariate_coef * (x[:, 0] - scenario.covariate_mean)
+    return np.clip(factor, 0.0, None)
+
+
+def _draw_panel(scenario, draw_edges):
+    """The panel of :func:`generate` with each period's edges drawn by
+    ``draw_edges(rng, x)``, which returns the (targets, sources, weights) arrays
+    of the edges sources -> targets; it draws after the treatments and
+    before the outcome noise."""
     rng = np.random.default_rng(scenario.seed)
     n, kx = scenario.n_units, scenario.n_covariates
     names = scenario.covariate_names()
@@ -113,25 +177,14 @@ def generate(scenario):
             + x @ np.asarray(scenario.treatment_coefs)
             + rng.normal(0.0, scenario.treatment_sd, size=n)
         )
-        mask = rng.random((n, n)) < scenario.edge_prob
-        np.fill_diagonal(mask, False)
-        logw = rng.normal(scenario.weight_log_mean, scenario.weight_log_sd, size=(n, n))
-        w = np.where(mask, np.exp(logw), 0.0)
-        if scenario.weight_covariate_coef != 0.0:
-            # linear multiplicative loading on the receiving unit's first
-            # covariate keeps E[G | x] linear, clipped to keep weights >= 0
-            factor = 1.0 + scenario.weight_covariate_coef * (
-                x[:, 0] - scenario.covariate_mean
-            )
-            w = w * np.clip(factor, 0.0, None)[:, None]
+        rows, cols, w = draw_edges(rng, x)
         eps_y = rng.normal(0.0, scenario.outcome_sd, size=n)
 
         nodes.extend((u, t) for u in range(n))
-        rows, cols = np.nonzero(w)  # edge j -> i has weight w[i, j]
         sources.append(cols)
         targets.append(rows)
         edge_periods.append(np.full(rows.size, t, dtype=np.intp))
-        weights.append(w[rows, cols])
+        weights.append(w)
         units_all.append(np.arange(n, dtype=object))
         periods_all.append(np.full(n, t, dtype=object))
         x_all.append(x)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from netjps import io as netjps_io
 from netjps.dataset import PanelDataset, attach_exposure, check_unique_keys
 from netjps.errors import InputError, UnboundColumnError
 from netjps.io import (
@@ -11,7 +12,7 @@ from netjps.io import (
     write_edges_csv,
     write_panel_csv,
 )
-from netjps.network import build_adjacency
+from netjps.network import EdgeTable, build_adjacency
 from netjps.synth import OutcomeRule, Scenario, generate
 
 
@@ -147,6 +148,11 @@ class TestCsv:
 
 
 EDGE_HEADER = "source,target,period,weight\n"
+LAST_ROW_ERRORS = [
+    ('"x,y",b,1', "row 5: expected 4 fields, got 3"),
+    ('"x,y",b,1,zz', "row 5: invalid number 'zz' in column 'weight'"),
+    ('"x,y",b,1,-inf', "row 5: non-finite value in column 'weight'"),
+]
 
 
 class TestEdgeIngest:
@@ -160,11 +166,7 @@ class TestEdgeIngest:
         adj = build_adjacency(edges, [("a,1", "1"), ("b", "1")])
         assert adj.block("1").w.toarray().tolist() == [[0.0, 3.5], [2.0, 0.0]]
 
-    @pytest.mark.parametrize("last_row, message", [
-        ('"x,y",b,1', "row 5: expected 4 fields, got 3"),
-        ('"x,y",b,1,zz', "row 5: invalid number 'zz' in column 'weight'"),
-        ('"x,y",b,1,-inf', "row 5: non-finite value in column 'weight'"),
-    ])
+    @pytest.mark.parametrize("last_row, message", LAST_ROW_ERRORS)
     def test_errors_name_the_file_line(self, tmp_path, last_row, message):
         # line numbers count blank lines and the lines inside quoted cells
         p = tmp_path / "edges.csv"
@@ -201,6 +203,82 @@ class TestEdgeIngest:
             for name in ("data", "indices", "indptr"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.fixture(params=[1, 2, 3])
+def block_rows(request, monkeypatch):
+    """Read CSVs a few rows at a time, so that block boundaries fall between
+    any two rows of a small file."""
+    monkeypatch.setattr(netjps_io, "_BLOCK_ROWS", request.param)
+    return request.param
+
+
+class TestBlockStreaming:
+    def test_tables_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(EDGE_HEADER + '\n"a\nb",c,1,2.0\n\nc,d,2,1.5\nd,"a\nb",1,0.25\n'
+                         'e,c,2,3.0\n\n\nc,e,1,1e-3\nb,a,3,4.0\n')
+        panel = tmp_path / "panel.csv"
+        panel.write_text('unit,y,period,x\n"a\nb",1.0,1,-2.5\n\nc,2.0,1,0.5\n'
+                         'a,3.0,2,1e3\n\n"a\nb",4.0,2,-0.0\nc,5.0,3,7.25\n')
+        whole_edges, whole_panel = read_edges_csv(edges), read_panel_csv(panel, "unit", "period")
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(netjps_io, "_BLOCK_ROWS", rows)
+            table = read_edges_csv(edges)
+            assert (table.units, table.periods) == (whole_edges.units, whole_edges.periods)
+            for name in ("source", "target", "period", "weight"):
+                a, b = getattr(table, name), getattr(whole_edges, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            units, periods, columns = read_panel_csv(panel, "unit", "period")
+            assert units.tolist() == whole_panel[0].tolist()
+            assert periods.tolist() == whole_panel[1].tolist()
+            assert list(columns) == list(whole_panel[2]) == ["y", "x"]
+            for name, values in columns.items():
+                assert values.tobytes() == whole_panel[2][name].tobytes()
+        # units in first appearance over all sources, then all targets
+        assert whole_edges.units == ("a\nb", "c", "d", "e", "b", "a")
+        assert whole_panel[0].tolist() == ["a\nb", "c", "a", "a\nb", "c"]
+
+    @pytest.mark.parametrize("last_row, message", LAST_ROW_ERRORS)
+    def test_errors_name_the_file_line(self, tmp_path, block_rows, last_row, message):
+        p = tmp_path / "edges.csv"
+        p.write_text(EDGE_HEADER + '\n"a\nb",c,1,2.0\n' + last_row + "\n")
+        with pytest.raises(InputError, match=f"^{p}: {message}$"):
+            read_edges_csv(p)
+
+    def test_short_row_in_a_later_block_wins(self, tmp_path, block_rows):
+        # a whole-file read checks every row's width before any number
+        p = tmp_path / "edges.csv"
+        p.write_text(EDGE_HEADER + "a,b,1,zz\n" + "b,a,1,1.0\n" * 3 + "\nc,a,1\n")
+        with pytest.raises(InputError, match=f"^{p}: row 7: expected 4 fields, got 3$"):
+            read_edges_csv(p)
+
+    def test_header_errors_follow_the_width_checks(self, tmp_path, block_rows):
+        p = tmp_path / "edges.csv"
+        p.write_text("source,target,weight\na,b,1.0\nb,a,2.0\nc,a,3.0\nc,b\n")
+        with pytest.raises(InputError, match=f"^{p}: row 5: expected 3 fields, got 2$"):
+            read_edges_csv(p)
+        p.write_text("source,target,weight\na,b,zz\nb,a,2.0\nc,a,3.0\n")
+        with pytest.raises(InputError, match=f"^{p}: missing edge column 'period'; header must"):
+            read_edges_csv(p)
+
+    def test_first_bad_cell_is_row_major_across_blocks(self, tmp_path, block_rows):
+        p = tmp_path / "panel.csv"
+        p.write_text("unit,period,y,z\nu0,1,1.0,2.0\nu1,1,1.0,2.0\n\nu2,1,1.0,oops\n"
+                     "u3,1,inf,2.0\nu4,1,zz,2.0\n")
+        with pytest.raises(InputError, match=f"^{p}: row 5: invalid number 'oops' in column 'z'$"):
+            read_panel_csv(p, "unit", "period")
+
+    def test_records_are_one_block(self):
+        table = EdgeTable.from_records([("b", "a", 2, 1.0), ("c", "b", 1, 2.5), ("a", "d", 2, 0.5)])
+        assert table.units == ("b", "c", "a", "d")
+        assert table.periods == (2, 1)
+        assert table.source.tolist() == [0, 1, 2]
+        assert table.target.tolist() == [2, 0, 3]
+        assert table.period.tolist() == [0, 1, 0]
+        assert table.weight.dtype == np.float64
+        empty = EdgeTable.from_records([])
+        assert len(empty) == 0 and empty.source.dtype == np.intp
 
 
 class TestCsvWriterBytes:

@@ -61,6 +61,20 @@ def test_first_offending_edge_reports_its_first_rule():
         build_adjacency([("Y", "Z", 2000, 1.0)], NODES3)
 
 
+def test_first_offending_edge_across_periods():
+    # periods are built one at a time, in first-appearance order (2001 first)
+    nodes = NODES3 + [("A", 2001), ("B", 2001), ("C", 2001)]
+    edges = [("A", "B", 2001, 1.0), ("A", "Z", 2000, 1.0), ("A", "Y", 2001, 1.0),
+             ("B", "C", 1999, 1.0)]
+    with pytest.raises(InputError, match=r"^edge \('A', 'Z', 2000\) references unregistered unit 'Z'$"):
+        build_adjacency(edges, nodes)
+    with pytest.raises(InputError, match=r"^edge references unregistered period 1999$"):
+        build_adjacency(edges[3:] + edges[:3], nodes)
+    adj = build_adjacency([edges[0], ("C", "A", 2000, 2.0), ("C", "B", 2001, 0.5)], nodes)
+    assert [adj.block(p).w.toarray().tolist() for p in (2000, 2001)] == [
+        [[0, 0, 2.0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1.0, 0, 0.5], [0, 0, 0]]]
+
+
 def test_unknown_unit_rejected():
     with pytest.raises(InputError, match="unregistered"):
         build_adjacency([("A", "Z", 2000, 1.0)], NODES3)

@@ -6,6 +6,7 @@ from netjps.synth import (
     OutcomeRule,
     Scenario,
     generate,
+    generate_sparse,
     oracle_drf,
     scenario_confounded,
     scenario_null,
@@ -82,6 +83,33 @@ class TestGenerate:
         for bad in (dict(n_units=0), dict(n_units=-2), dict(n_periods=0), dict(seed=-1)):
             with pytest.raises(InputError):
                 small_scenario(**bad)
+
+
+class TestGenerateSparse:
+    def test_each_unit_receives_distinct_in_edges(self):
+        # n = 4, in-degree 3: every other unit, and the redraw of repeated offsets runs
+        for n, degree in ((4, 3), (50, 5)):
+            ds, adj = generate_sparse(small_scenario(n_units=n), degree)
+            for period in adj.periods:
+                w = adj.block(period).w
+                assert np.array_equal(np.diff(w.indptr), np.full(n, degree))
+                assert np.all(w.diagonal() == 0) and np.all(w.data > 0)
+
+    def test_exposure_matches_the_edges(self):
+        sc = small_scenario(weight_covariate_coef=-0.25)
+        ds, adj = generate_sparse(sc, 4)
+        again, adj_again = generate_sparse(sc, 4)
+        for period in adj.periods:
+            rows = np.flatnonzero(np.asarray(ds.periods, dtype=int) == period)
+            w = adj.block(period).w
+            assert np.allclose(ds.g[rows], w.toarray() @ ds.z[rows] / len(rows))
+            assert np.array_equal(w.data, adj_again.block(period).w.data)
+        assert np.array_equal(ds.y, again.y)
+
+    def test_in_degree_must_fit(self):
+        for degree in (0, 40):
+            with pytest.raises(InputError, match="in-degree"):
+                generate_sparse(small_scenario(n_units=40), degree)
 
 
 class TestOracle:
