@@ -27,17 +27,31 @@ _NESTING_SLACK = 1e-9  # relative tolerance when asserting rss_full <= rss_restr
 
 
 def chi2_sf(x, df):
-    """Upper tail of the chi-square distribution via the regularized
-    incomplete gamma function Q(df/2, x/2)."""
+    """Upper tail of the chi-square distribution with integer ``df``: the
+    regularized incomplete gamma function Q(df/2, x/2) in closed form,
+
+        Q(a, h) = [erfc(sqrt(h)) if df is odd] + sum_s exp(s ln h - h - lgamma(s + 1))
+
+    over s = a - 1, a - 2, ... down to 0 (even df) or 1/2 (odd df).  Each
+    term is taken from its logarithm, so none overflows or underflows early.
+    """
     if df <= 0:
         raise InputError(f"chi-square tail needs df >= 1, got {df}")
+    if df != int(df):
+        raise InputError(f"chi-square tail needs an integer df, got {df}")
     if x < 0:
         raise InputError("chi-square statistic must be >= 0")
-    # imported here, not at module level: loading scipy.special slows every
-    # `import netjps`, and only the balance check needs it
-    from scipy.special import gammaincc
-
-    return float(gammaincc(df / 2.0, x / 2.0))
+    if x == 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    df = int(df)
+    h = x / 2.0
+    log_h = math.log(h)
+    half = (df % 2) / 2.0
+    tail = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    return tail + sum(math.exp((k + half) * log_h - h - math.lgamma(k + half + 1.0))
+                      for k in range(df // 2))
 
 
 def lr_test(rss_restricted, rss_full, n, df_added):

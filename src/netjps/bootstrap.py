@@ -13,6 +13,7 @@ grids and curves they surround stay in the caller's point estimate.
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # noqa: F401  lazy in numpy: load it at import, not in replicate 0
 
 from .errors import BootstrapError, InputError, NetjpsError
 from .jps import GridPolicy, run_jps, run_naive

@@ -22,10 +22,11 @@ from .network import EdgeTable, code_labels
 EDGE_COLUMNS = ("source", "target", "period", "weight")
 
 
-# Rows read, checked and parsed at a time.  No per-cell str outlives its
-# block.  A block's row lists are GC-tracked containers: at 512 rows they die
-# young, while at 8192 rows they lived into the oldest generation and the full
-# collections that rescanned them cost a quarter of the read time.
+# Rows read, checked and parsed at a time, and edges written at a time.  No
+# per-cell str outlives its block.  A block's row lists are GC-tracked
+# containers: at 512 rows they die young, while at 8192 rows they lived into
+# the oldest generation and the full collections that rescanned them cost a
+# quarter of the read time.
 _BLOCK_ROWS = 512
 
 
@@ -180,13 +181,29 @@ def _digits10(values):
     return (format(v, ".10g") for v in np.asarray(values, dtype=float).ravel().tolist())
 
 
-def _write_table(path, header, columns):
-    """The one CSV writer: ``header``, then one row per position of the
-    equally long ``columns`` (iterables of cells, consumed as written)."""
+def _write_table(path, header, blocks):
+    """The one CSV writer: ``header``, then for each block of equally long
+    columns (iterables of cells, consumed as written) one row per position."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(zip(*columns, strict=True))
+        for columns in blocks:
+            writer.writerows(zip(*columns, strict=True))
+
+
+def _edge_blocks(adj):
+    """The edge list's columns, period by period and target-major,
+    ``_BLOCK_ROWS`` edges at a time: no per-edge object outlives its
+    block."""
+    for period in adj.periods:
+        block = adj.block(period)
+        w = block.w
+        units = np.array(block.units, dtype=object)
+        for start in range(0, w.nnz, _BLOCK_ROWS):
+            stored = np.arange(start, min(start + _BLOCK_ROWS, w.nnz))
+            targets = np.searchsorted(w.indptr, stored, side="right") - 1
+            yield (map(str, units[w.indices[stored]]), map(str, units[targets]),
+                   [str(period)] * len(stored), _exact(w.data[stored]))
 
 
 def write_panel_csv(dataset, path, unit_col="unit", period_col="period",
@@ -194,21 +211,20 @@ def write_panel_csv(dataset, path, unit_col="unit", period_col="period",
     """Full-precision panel writer (round-trip exact)."""
     covs = dataset.covariates
     _write_table(path, [unit_col, period_col, outcome_col, treatment_col, *covs],
-                 [map(str, dataset.units), map(str, dataset.periods), _exact(dataset.y),
-                  _exact(dataset.z), *map(_exact, covs.values())])
+                 [[map(str, dataset.units), map(str, dataset.periods), _exact(dataset.y),
+                   _exact(dataset.z), *map(_exact, covs.values())]])
 
 
 def write_edges_csv(adj, path):
-    """Full-precision edge-list writer in canonical order."""
-    sources, targets, periods, weights = adj.edge_columns()
-    _write_table(path, EDGE_COLUMNS,
-                 [map(str, sources), map(str, targets), map(str, periods), _exact(weights)])
+    """Full-precision edge-list writer in canonical order, streamed from
+    the period blocks' CSR arrays."""
+    _write_table(path, EDGE_COLUMNS, _edge_blocks(adj))
 
 
 def write_exposure_csv(dataset, path, unit_col="unit", period_col="period"):
     g = dataset.require_g()
     _write_table(path, [unit_col, period_col, "g"],
-                 [map(str, dataset.units), map(str, dataset.periods), _digits10(g)])
+                 [[map(str, dataset.units), map(str, dataset.periods), _digits10(g)]])
 
 
 def write_drf_surface_csv(drf, path, bands=None):
@@ -221,7 +237,7 @@ def write_drf_surface_csv(drf, path, bands=None):
     if bands is not None and bands.surface_lo is not None:
         header += ["mu_lo", "mu_hi"]
         cells += [bands.surface_lo, bands.surface_hi]
-    _write_table(path, header, map(_digits10, cells))
+    _write_table(path, header, [map(_digits10, cells)])
 
 
 def write_marginal_csv(drf, axis, path, bands=None):
@@ -233,7 +249,7 @@ def write_marginal_csv(drf, axis, path, bands=None):
     if lo is not None:
         header += ["mu_lo", "mu_hi"]
         cells += [lo, getattr(bands, f"marginal_{axis}_hi")]
-    _write_table(path, header, map(_digits10, cells))
+    _write_table(path, header, [map(_digits10, cells)])
 
 
 def jsonable(obj):

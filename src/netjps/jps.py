@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.ma  # noqa: F401  lazy in numpy, loaded by np.percentile: load it at import
 
 from .errors import DegenerateExposureError, DomainError, InputError
 from .linear_model import (

@@ -1,15 +1,15 @@
 """Gaussian linear models: least squares, densities, polynomial design rows.
 
 The least-squares solver is a backward-stable orthogonal decomposition
-(column-pivoted QR); explicit normal equations are never formed here and are
-kept only as an independent oracle in the test suite.
+(Householder QR, with column pivoting to name the columns of a rank-deficient
+design); explicit normal equations are never formed here and are kept only as
+an independent oracle in the test suite.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, InputError, SingularDesignError
 
@@ -84,24 +84,55 @@ def fit_ols(x, y, names=None):
     if len(names) != p:
         raise InputError("need one name per design column")
 
-    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    largest = diag[0] if diag.size else 0.0
-    rank = int(np.sum(diag >= RANK_TOL * largest)) if largest > 0 else 0
-    if rank < p:
-        offending = tuple(names[j] for j in piv[rank:])
-        raise SingularDesignError(
-            f"singular design: columns {sorted(offending)} are linearly dependent "
-            f"(tolerance {RANK_TOL:g})",
-            columns=offending,
-        )
-    theta_piv = scipy.linalg.solve_triangular(r, q.T @ y)
-    theta = np.empty(p)
-    theta[piv] = theta_piv
+    # one QR of [x | y]: R is the top-left p x p block, Q^T y its last column
+    r_xy = np.linalg.qr(np.column_stack([x, y]), mode="r")
+    r, qty = r_xy[:p, :p], r_xy[:p, p]
+    # every pivoted R diagonal is >= sigma_min(R), and the largest is the
+    # largest column norm: with a factor 2 to spare for rounding, the rank
+    # rule cannot fire and the pivoted QR is skipped
+    largest = np.linalg.norm(r, axis=0).max(initial=0.0)
+    smallest = np.linalg.svd(r, compute_uv=False).min(initial=np.inf)
+    if p and not smallest >= 2 * RANK_TOL * largest > 0:
+        diag, piv = _pivoted_qr_diagonal(r, x)
+        rank = int(np.sum(diag >= RANK_TOL * diag[0])) if diag[0] > 0 else 0
+        if rank < p:
+            offending = tuple(names[j] for j in piv[rank:])
+            raise SingularDesignError(
+                f"singular design: columns {sorted(offending)} are linearly dependent "
+                f"(tolerance {RANK_TOL:g})",
+                columns=offending,
+            )
+    # an upper-triangular R needs no row swaps: this is back substitution
+    theta = np.linalg.solve(r, qty)
     resid = y - x @ theta
     rss = float(resid @ resid)
     theta.setflags(write=False)
     return LinearFit(theta=theta, sigma=math.sqrt(rss / n), n=n, rss=rss, names=names)
+
+
+def _pivoted_qr_diagonal(r, x):
+    """|diagonal| and column order of a Householder QR with column pivoting
+    of ``r``, the R factor of ``x``.  Step k takes the column of largest
+    residual norm, the first on a tie; step 0 compares the norms of ``x``'s
+    own columns, so that of equal columns the first is taken."""
+    scale = np.abs(r).max(initial=0.0) or 1.0
+    a = r / scale  # no norm underflows
+    p = a.shape[1]
+    piv = np.arange(p)
+    diag = np.zeros(p)
+    for k in range(p):
+        residual = np.linalg.norm(a[k:, k:] if k else x, axis=0)
+        j = k + int(np.argmax(residual))
+        a[:, [k, j]] = a[:, [j, k]]
+        piv[[k, j]] = piv[[j, k]]
+        # the reflector that maps a[k:, k] to (beta, 0, ..., 0)
+        alpha, tail = a[k, k], np.linalg.norm(a[k + 1:, k])
+        diag[k] = math.hypot(alpha, tail)
+        if tail > 0:
+            beta = -math.copysign(diag[k], alpha)
+            v = np.concatenate(([1.0], a[k + 1:, k] / (alpha - beta)))
+            a[k:, k + 1:] -= np.outer(v, ((beta - alpha) / beta) * (v @ a[k:, k + 1:]))
+    return diag, piv
 
 
 def normal_density(x, mean, sd):

@@ -7,10 +7,10 @@ the stored matrix has ``w[i, j]`` equal to the weight of the edge j -> i,
 i.e. row i collects what unit i *receives*; exposure therefore aggregates
 over in-edges, while covariate summaries can use either direction.
 
-Each ``w`` is a ``scipy.sparse`` CSR array with duplicate edges summed and no
-stored zeros; only this module reads it.  :class:`AdjacencyView` is immutable
-after construction (the CSR arrays are write-protected), so all operations
-here are safe to call concurrently.
+Each ``w`` is a :class:`Csr` matrix, a numpy CSR with duplicate edges summed
+and no stored zeros; only this module and the edge writer read it.
+:class:`AdjacencyView` is immutable after construction (the CSR arrays are
+write-protected), so all operations here are safe to call concurrently.
 """
 
 import math
@@ -19,7 +19,6 @@ from itertools import chain, filterfalse
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array
 
 from .errors import DegenerateNormalizerError, InputError
 
@@ -65,10 +64,65 @@ class NeighborhoodSummarySpec:
 
 
 @dataclass(frozen=True)
+class Csr:
+    """Read-only square sparse matrix in compressed sparse row form.
+
+    Row i stores ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending, with no duplicate and no
+    zero; the index arrays are intp.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_entries(cls, values, rows, cols, n, kind="stable"):
+        """The (n, n) matrix of the entries ``values`` at (``rows``,
+        ``cols``): duplicates summed in input order, zeros dropped.  Entries
+        known to be distinct may pass ``kind=None``: any sort of distinct
+        keys is the stable one, and the default sort is several times
+        faster."""
+        key = rows.astype(np.int64, copy=False) * n + cols
+        order = np.argsort(key, kind=kind)
+        key = key[order]
+        starts = np.ones(key.shape[0], dtype=bool)
+        starts[1:] = key[1:] != key[:-1]
+        data = np.bincount(np.cumsum(starts) - 1, weights=values[order])
+        stored = data != 0
+        row, col = np.divmod(key[starts][stored], n)
+        indptr = np.searchsorted(row, np.arange(n + 1))
+        arrays = (indptr, col.astype(np.intp, copy=False), data[stored].astype(float, copy=False))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return cls(*arrays)
+
+    @property
+    def n(self):
+        return self.indptr.shape[0] - 1
+
+    @property
+    def nnz(self):
+        return self.data.shape[0]
+
+    def rows(self):
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def __matmul__(self, x):
+        """w @ x: each row's terms added in stored order."""
+        terms = self.data * x[self.indices]
+        return np.bincount(self.rows(), weights=terms, minlength=self.n).astype(float, copy=False)
+
+    def transpose(self):
+        return Csr.from_entries(self.data, self.indices, self.rows(), self.n, kind=None)
+
+
+@dataclass(frozen=True)
 class PeriodBlock:
     units: tuple
     index: dict
-    w: csr_array  # w[i, j] = summed weight of edges j -> i; no stored zeros, read-only
+    w: Csr  # w[i, j] = summed weight of edges j -> i; no stored zeros, read-only
 
 
 @dataclass(frozen=True)
@@ -90,19 +144,6 @@ class AdjacencyView:
 
     def n_edges(self):
         return sum(b.w.nnz for b in self.blocks.values())
-
-    def edge_columns(self):
-        """Canonical source, target, period and weight columns: period by
-        period, target-major, one entry per stored edge."""
-        sources, targets, periods, weights = [], [], [], []
-        for period in self.periods:
-            b = self.blocks[period]
-            units = np.array(b.units, dtype=object)
-            sources += units[b.w.indices].tolist()
-            targets += np.repeat(units, np.diff(b.w.indptr)).tolist()
-            periods += [period] * b.w.nnz
-            weights += b.w.data.tolist()
-        return sources, targets, periods, weights
 
 
 @dataclass(frozen=True)
@@ -190,17 +231,6 @@ def _check_edge(source, target, period, weight, index_by_period):
             )
 
 
-def _block_csr(weight, rows, cols, n):
-    """Read-only (n, n) CSR of the edges cols -> rows: duplicates summed, no
-    stored zeros."""
-    w = coo_array((weight, (rows, cols)), shape=(n, n)).tocsr()
-    w.sum_duplicates()
-    w.eliminate_zeros()
-    for arr in (w.data, w.indices, w.indptr):
-        arr.setflags(write=False)
-    return w
-
-
 def _block_positions(table, sel, index):
     """Positions in ``index`` (a unit -> position dict) of the targets and
     sources of the edges ``sel`` of ``table``, -1 where unregistered."""
@@ -258,14 +288,14 @@ def build_adjacency(edges, nodes):
         bad[sel] |= unregistered
         clean = clean and not unregistered.any()
         if clean:
-            built[period] = _block_csr(weight[sel], rows, cols, len(index))
+            built[period] = Csr.from_entries(weight[sel], rows, cols, len(index))
     if not clean:
         _check_edge(*table.record(int(np.argmax(bad))), index_by_period)
 
     none = np.empty(0, dtype=np.intp)
     blocks = {}
     for period, index in index_by_period.items():
-        w = built[period] if period in built else _block_csr(weight[none], none, none, len(index))
+        w = built[period] if period in built else Csr.from_entries(weight[none], none, none, len(index))
         blocks[period] = PeriodBlock(units=tuple(index), index=index, w=w)
     return AdjacencyView(periods=tuple(index_by_period), blocks=blocks)
 
@@ -316,7 +346,7 @@ def exposure(adj, dataset, mode="plain"):
     g = np.empty(dataset.n)
     for block, rows in _aligned_blocks(adj, dataset):
         w = block.w
-        scale = w.shape[0]
+        scale = w.n
         if mode == "trade_normalized":
             if w.nnz == 0:
                 raise DegenerateNormalizerError(
@@ -345,13 +375,13 @@ def neighborhood_covariate(adj, dataset: "PanelDataset", spec):
     values = np.zeros(dataset.n)
     isolated = np.zeros(dataset.n, dtype=bool)
     for block, rows in _aligned_blocks(adj, dataset):
-        w = block.w if spec.direction == "in" else block.w.T.tocsr()
+        w = block.w if spec.direction == "in" else block.w.transpose()
         if spec.summarizer == "count":
             values[rows] = np.diff(w.indptr)
         elif spec.summarizer == "sum":
             values[rows] = w @ x[rows]
         else:
-            total = w @ np.ones(w.shape[0])
+            total = w @ np.ones(w.n)
             empty = total == 0
             values[rows] = np.divide(w @ x[rows], total, out=np.zeros_like(total), where=~empty)
             isolated[rows] = empty

@@ -4,16 +4,24 @@ Everything here recomputes pipeline quantities by a different route: plain
 Python loops for exposures and neighbor summaries, explicit normal equations
 for least squares, series/continued-fraction evaluation for the incomplete
 gamma, a per-cell design-matrix loop for grid imputation, and a 50-digit
-mpmath re-derivation of the whole estimation pipeline.
+mpmath re-derivation of the whole estimation pipeline.  A period block's
+sparse matrix is read through scipy's CSR.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+import scipy.sparse
 
 from netjps.linear_model import build_outcome_matrix, normal_density
 from netjps.transforms import boxcox_apply
+
+
+def scipy_csr(w):
+    """scipy's CSR array over the arrays of a block matrix ``w``, for
+    ``toarray``, ``[i, j]`` and ``diagonal``."""
+    return scipy.sparse.csr_array((w.data, w.indices, w.indptr), shape=(w.n, w.n))
 
 
 def loop_exposure(edges, nodes, z, mode="plain"):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.special
 
 from netjps.balance import balance_check, chi2_sf, lr_test
 from netjps.errors import InputError
@@ -41,14 +40,25 @@ class TestLrTest:
             lr_test(2.0, 1.0, n=30, df_added=1.5)
 
     def test_incomplete_gamma_cross_oracle(self):
-        # scipy's regularized upper incomplete gamma vs an independent
+        # the closed-form chi-square tail Q(df/2, x/2) vs an independent
         # series / continued-fraction evaluation, df = 1..30
         for df in range(1, 31):
             a = df / 2.0
             for x in (0.01, 0.5, 1.0, 2.5, a, a + 1.0, 2 * a + 3.0, 40.0):
                 want = gammainc_upper_series_cf(a, x)
-                got = float(scipy.special.gammaincc(a, x))
+                got = chi2_sf(2.0 * x, df)
                 assert got == pytest.approx(want, abs=1e-10, rel=1e-10)
+
+    def test_chi2_tail_edges(self):
+        assert chi2_sf(0.0, 3) == 1.0
+        assert chi2_sf(np.inf, 3) == 0.0
+        # far in the tail every term underflows to 0, none to inf or NaN
+        assert chi2_sf(1e6, 7) == 0.0
+        # large df: the terms peak near s = x/2 and stay finite
+        assert chi2_sf(1500.0, 1501) == pytest.approx(0.5, abs=0.01)
+        for bad in (0, -1, 1.5):
+            with pytest.raises(InputError, match="df"):
+                chi2_sf(1.0, bad)
 
 
 def _fitted(scenario_fn, seed):

@@ -370,16 +370,28 @@ class TestCommands:
         assert json.loads(docs[0])["bands"]["b_effective"] == 3
         assert docs[0] == docs[1]
 
-    def test_import_leaves_scipy_special_unloaded(self):
-        # only the balance check needs scipy.special; loading it at import time
-        # would slow every command
+    def test_drf_loads_no_scipy_and_no_lazy_numpy(self, simulated, tmp_path):
+        # numpy is the only runtime dependency, and every numpy module a run
+        # needs is loaded by the import, not inside the run that follows it
+        runfile = write(tmp_path / "run.cfg", RUN_CONFIG.format(
+            panel=simulated / "panel.csv", edges=simulated / "edges.csv",
+            out=tmp_path / "run", variant="both", b=3,
+        ) + "neighborhood.nbr_x0 = weighted_mean:out:x0\n")
+        script = (
+            "import json, sys\n"
+            "import netjps.cli\n"
+            "imported = set(sys.modules)\n"
+            "code = netjps.cli.main(['drf', '--config', sys.argv[1]])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+            "                  sorted(m for m in set(sys.modules) - imported\n"
+            "                         if m.split('.')[0] == 'numpy')]))\n"
+        )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, netjps.cli; print('scipy.special' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", script, runfile],
+                              env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, [], []]
 
     def test_flagged_cells_written_as_null(self, simulated, tmp_path):
         # z^3 overflows at z = 1e103: every document stays strict JSON, with

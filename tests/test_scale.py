@@ -1,4 +1,5 @@
-"""Ingest at scale: memory in proportion to the arrays, and a 1e5-rows-per-period run."""
+"""Ingest at scale: memory in proportion to the arrays, an edge writer whose
+memory does not grow with the edges, and a 1e5-rows-per-period run."""
 
 import math
 import os
@@ -54,6 +55,15 @@ def test_ingest_memory_is_a_small_multiple_of_the_arrays(tmp_path):
     built, build_peak = traced_peak(build_adjacency, table, nodes)
     assert built.n_edges() == 100_000
     assert build_peak <= 3 * nbytes + BLOCK_ALLOWANCE, (build_peak, nbytes)
+
+
+def test_edge_writer_memory_does_not_grow_with_the_edges(tmp_path):
+    # 100k edges written a block at a time: one block's cells and each
+    # period's unit labels, not a Python object per edge (about 9.6 MB)
+    _, adj = generate_sparse(sparse_scenario(5000, 10), 10)
+    _, write_peak = traced_peak(write_edges_csv, adj, tmp_path / "edges.csv")
+    assert write_peak <= BLOCK_ALLOWANCE, write_peak
+    assert len(read_edges_csv(tmp_path / "edges.csv")) == 100_000
 
 
 # runs the CLI and prints the process's peak RSS (Linux VmHWM) in kB
