@@ -10,13 +10,16 @@ percentile step.  The bands hold only the bounds and replicate counts: the
 grids and curves they surround stay in the caller's point estimate.
 """
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.random  # noqa: F401  lazy in numpy: load it at import, not in replicate 0
 
 from .errors import BootstrapError, InputError, NetjpsError
-from .jps import GridPolicy, run_jps, run_naive
+from .jps import GridPolicy, outside_support, run_jps, run_naive
+
+logger = logging.getLogger(__name__)
 
 _MAX_FAILURE_FRACTION = 0.2
 
@@ -47,6 +50,15 @@ class BootstrapBands:
                 raise InputError("percentile bands must satisfy lower <= upper")
 
 
+class _ReplicateGrid(GridPolicy):
+    """The point estimate's explicit grid, which a replicate resolves
+    without logging where it leaves the resampled support:
+    :func:`bootstrap_drf` counts those replicates and logs the count once."""
+
+    def _outside(self, label, grid, obs):
+        pass
+
+
 def _percentiles(stack, level):
     """Order-independent percentile bounds: sort replicates, then interpolate."""
     stack = np.sort(np.stack(stack, axis=0), axis=0)
@@ -63,7 +75,8 @@ def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
     ``run_naive`` produced from ``dataset`` and ``config``; a z-only grid
     (``g_grid`` None) selects the no-interference pipeline.  Failed
     replicates (singular designs, degenerate transforms) are dropped and
-    counted; more than 20% failures aborts with diagnostics.
+    counted; more than 20% failures aborts with diagnostics.  Replicates
+    whose resampled values the grid reaches outside are logged as one count.
     """
     if b < 2:
         raise InputError("bootstrap needs B >= 2 replicates")
@@ -72,7 +85,7 @@ def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
 
     with_g = point.g_grid is not None
     run = run_jps if with_g else run_naive
-    fixed_grid = GridPolicy(
+    fixed_grid = _ReplicateGrid(
         z_values=tuple(point.z_grid),
         g_values=tuple(point.g_grid) if with_g else None,
     )
@@ -81,19 +94,26 @@ def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
     n = dataset.n
     surfaces, mzs, mgs = [], [], []
     failure_log = []
+    outside = 0
     for r in range(b):
         rng = np.random.default_rng((seed, r))
         idx = rng.integers(0, n, size=n)
+        sample = dataset.subset(idx)
         try:
-            rep = run(dataset.subset(idx), rep_config)
+            rep = run(sample, rep_config)
         except NetjpsError as exc:
             failure_log.append((r, exc.code, str(exc)))
             continue
+        outside += bool(outside_support(point.z_grid, sample.z)
+                        or with_g and outside_support(point.g_grid, sample.g))
         mzs.append(rep.drf.marginal_z)
         if with_g:
             surfaces.append(rep.drf.surface)
             mgs.append(rep.drf.marginal_g)
 
+    if outside:
+        logger.warning("the grid extends outside the resampled support in %d of %d replicates",
+                       outside, b)
     failures = len(failure_log)
     if failures > _MAX_FAILURE_FRACTION * b:
         detail = "; ".join(f"replicate {r}: [{code}] {msg}" for r, code, msg in failure_log[:5])

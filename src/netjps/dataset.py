@@ -7,7 +7,7 @@ import numpy as np
 from .errors import InputError, UnboundColumnError
 # check_unique_keys is re-exported: ingest checks a panel's keys before it
 # has a graph to align with
-from .network import check_unique_keys, exposure, neighborhood_covariate
+from .network import PanelKeys, check_unique_keys, exposure, neighborhood_covariate
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,25 @@ class PanelDataset:
     def keys(self):
         return list(zip(self.units.tolist(), self.periods.tolist()))
 
+    def panel_keys(self):
+        """The rows' keys as :class:`~netjps.network.PanelKeys`, coded on
+        first use and shared by every dataset derived from this one with
+        the same key columns (:meth:`with_covariate`,
+        :func:`attach_exposure`)."""
+        keys = self.__dict__.get("_panel_keys")
+        if keys is None:
+            keys = PanelKeys.of(self.units, self.periods)
+            object.__setattr__(self, "_panel_keys", keys)
+        return keys
+
+    def _derive(self, **changes):
+        """``replace(self, **changes)`` for changes that keep the key
+        columns, carrying the coded keys along."""
+        derived = replace(self, **changes)
+        if "_panel_keys" in self.__dict__:
+            object.__setattr__(derived, "_panel_keys", self._panel_keys)
+        return derived
+
     def covariate_matrix(self, names):
         missing = [nm for nm in names if nm not in self.covariates]
         if missing:
@@ -76,7 +95,7 @@ class PanelDataset:
     def with_covariate(self, name, values):
         covs = dict(self.covariates)
         covs[name] = np.asarray(values, dtype=float)
-        return replace(self, covariates=covs)
+        return self._derive(covariates=covs)
 
     def subset(self, idx):
         """Row subset (duplicates allowed; used by the bootstrap)."""
@@ -93,7 +112,7 @@ class PanelDataset:
 
 def attach_exposure(dataset, adj, mode="plain"):
     """Return a new dataset with :func:`netjps.network.exposure` attached as ``g``."""
-    return replace(dataset, g=exposure(adj, dataset, mode))
+    return dataset._derive(g=exposure(adj, dataset, mode))
 
 
 def add_neighborhood_covariate(dataset, adj, spec):

@@ -11,8 +11,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from functools import partial
-from itertools import islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -57,20 +58,86 @@ def _rescan(path, check):
             check(reader.line_num, row)
 
 
-def _read_blocks(path, layout):
-    """Stream a header + rows CSV ``_BLOCK_ROWS`` rows at a time.
+class _Columns:
+    """Equally long columns stored as consecutive segments of one buffer,
+    the float64 ones first so that every segment stays aligned.  The
+    buffer is allocated once for an estimate of the rows, grown in place (a
+    realloc) if the estimate falls short, and cut in place to the rows
+    filled.  One buffer is one allocation to make and to free: on glibc,
+    freeing an edge table's single block lifts the mmap threshold above the
+    estimator's per-run arrays, which then reuse heap pages instead of
+    faulting in fresh ones on every fit."""
+
+    def __init__(self, dtypes, capacity):
+        self.dtypes = [np.dtype(dtype) for dtype in dtypes]
+        self.order = sorted(range(len(dtypes)), key=lambda j: -self.dtypes[j].itemsize)
+        self.buffer = np.empty(0, dtype=np.uint8)
+        self.capacity = self.filled = 0
+        self._reshape(capacity)
+
+    def _starts(self, rows):
+        """Byte offset of each segment (in storage order) and the end."""
+        return list(accumulate((self.dtypes[j].itemsize * rows for j in self.order), initial=0))
+
+    def _reshape(self, capacity):
+        """Move the filled part of each segment to its place for
+        ``capacity`` rows (the last segment first when growing, the first
+        when cutting, so that none overwrites one still to move), then view
+        the segments as ``columns``."""
+        self.columns = None  # views of the buffer die before it is resized
+        old, new = self._starts(self.capacity), self._starts(capacity)
+        grow = capacity > self.capacity
+        if grow:
+            self.buffer.resize(new[-1], refcheck=False)
+        moves = range(len(self.order))
+        for k in (reversed(moves) if grow else moves):
+            size = self.dtypes[self.order[k]].itemsize * self.filled
+            self.buffer[new[k]:new[k] + size] = self.buffer[old[k]:old[k] + size]
+        if not grow:
+            self.buffer.resize(new[-1], refcheck=False)
+        self.capacity = capacity
+        self.columns = [None] * len(self.order)
+        for k, j in enumerate(self.order):
+            self.columns[j] = self.buffer[new[k]:new[k + 1]].view(self.dtypes[j])
+
+    def append(self, parts):
+        start, end = self.filled, self.filled + len(parts[0])
+        if end > self.capacity:
+            self._reshape(max(end, self.capacity + self.capacity // 4))
+        for column, part in zip(self.columns, parts):
+            column[start:end] = part
+        self.filled = end
+
+    def cut(self):
+        self._reshape(self.filled)
+        return self.columns
+
+
+def _estimate_rows(fh, block, width):
+    """Rows in the file, from its size over the mean length of ``block``
+    (its first rows): a row's bytes are at least its characters, its commas
+    and its newline."""
+    chars = sum(map(len, chain.from_iterable(block))) + width * len(block)
+    return os.fstat(fh.fileno()).st_size * len(block) // max(chars, 1) + _BLOCK_ROWS
+
+
+def _read_columns(path, layout):
+    """Read a header + rows CSV ``_BLOCK_ROWS`` rows at a time into columns.
 
     ``layout(header)`` returns the positions of the label columns and the
     ``(position, name)`` pairs of the numeric columns, or raises
-    :class:`InputError`.  Each block yields its label columns (tuples of
-    str) and ``{name: float64 array}``, all numeric cells of the block
-    parsed in one numpy call (which parses a str as ``float()`` does).  A
-    file with no rows yields one empty block.
+    :class:`InputError`.  Returns, per label column, its label -> code dict
+    (in order of first appearance) and int32 code array, and ``{name:
+    float64 array}``.  Each block's label cells are coded and all its numeric
+    cells parsed in one numpy call (which parses a str as ``float()`` does),
+    then copied into columns preallocated for the whole file
+    (:func:`_estimate_rows`), so no per-block part is kept and none is
+    concatenated.
 
     Errors come in the order of a whole-file read.  Blank lines are skipped
     and every other row must be as wide as the header; then the header must
     satisfy ``layout``; then every numeric cell must be a finite number.
-    After a block fails to parse, nothing more is yielded but the rest of
+    After a block fails to parse, no more blocks are parsed but the rest of
     the file is still width-checked, and only then is the file scanned again
     for its first bad cell in row-major order.
     """
@@ -79,12 +146,13 @@ def _read_blocks(path, layout):
         header = _header(reader, path)
         width = len(header)
         try:
-            labels, numeric = layout(header)
+            label_cols, numeric = layout(header)
             error = None
         except InputError as exc:
             error = exc
         failed = error is not None
         rows = filter(None, reader)
+        columns = None
         last = False
         while not last:
             block = list(islice(rows, _BLOCK_ROWS))
@@ -93,18 +161,26 @@ def _read_blocks(path, layout):
                 _rescan(path, partial(_check_width, path, width))
             if failed:
                 continue
-            columns = list(zip(*block)) or [()] * width
+            cells = list(zip(*block)) or [()] * width
             try:
-                values = np.array([columns[j] for j, _ in numeric], dtype=float)
+                values = np.array([cells[j] for j, _ in numeric], dtype=float)
                 failed = not np.isfinite(values).all()
             except ValueError:
                 failed = True
-            if not failed:
-                yield [columns[j] for j in labels], {name: v for (_, name), v in zip(numeric, values)}
+            if failed:
+                continue
+            if columns is None:
+                labels = [{} for _ in label_cols]
+                capacity = len(block) if last else _estimate_rows(fh, block, width)
+                columns = _Columns([np.int32] * len(labels) + [float] * len(numeric), capacity)
+            columns.append([*map(code_labels, labels, (cells[j] for j in label_cols)), *values])
     if error is not None:
         raise error
     if failed:
         _rescan(path, partial(_check_numbers, path, numeric))
+    arrays = columns.cut()
+    numbers = dict(zip((name for _, name in numeric), arrays[len(labels):]))
+    return labels, arrays[:len(labels)], numbers
 
 
 def _check_width(path, width, line_num, row):
@@ -118,16 +194,17 @@ def _check_numbers(path, numeric, line_num, row):
 
 
 def _decode(labels, codes):
-    """Object array of the labels that ``codes`` (a list of code arrays) name."""
-    return np.array(list(labels), dtype=object)[np.concatenate(codes)]
+    """Object array of the labels that ``codes`` name."""
+    return np.array(list(labels), dtype=object)[codes]
 
 
 def read_edges_csv(path):
     """Edge-list CSV with required header source,target,period,weight.
 
     Returns an :class:`~netjps.network.EdgeTable` with the labels as read
-    (strings).  The label cells are coded block by block, so ingest keeps
-    only the growing label dicts and the code and weight arrays.
+    (strings).  The label cells are coded block by block into columns sized
+    for the whole file, so ingest keeps only the growing label dicts and
+    the code and weight arrays.
     """
     def layout(header):
         try:
@@ -138,8 +215,8 @@ def read_edges_csv(path):
                              f"header must contain {list(EDGE_COLUMNS)}") from None
         return idx[:3], [(idx[3], "weight")]
 
-    return EdgeTable.from_blocks((*labels, values["weight"])
-                                 for labels, values in _read_blocks(path, layout))
+    labels, codes, values = _read_columns(path, layout)
+    return EdgeTable.from_codes(*labels, *codes, values["weight"])
 
 
 def read_panel_csv(path, unit_col, period_col):
@@ -160,14 +237,7 @@ def read_panel_csv(path, unit_col, period_col):
                 raise InputError(f"{path}: column {name!r} appears more than once in the header")
         return keys, numeric
 
-    units, periods = {}, {}
-    unit_codes, period_codes, parts = [], [], {}
-    for (unit_cells, period_cells), values in _read_blocks(path, layout):
-        unit_codes.append(code_labels(units, unit_cells))
-        period_codes.append(code_labels(periods, period_cells))
-        for name, column in values.items():
-            parts.setdefault(name, []).append(column)
-    columns = {name: np.concatenate(column) for name, column in parts.items()}
+    (units, periods), (unit_codes, period_codes), columns = _read_columns(path, layout)
     return _decode(units, unit_codes), _decode(periods, period_codes), columns
 
 

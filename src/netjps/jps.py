@@ -78,12 +78,19 @@ class GridPolicy:
             raise InputError(f"empty {label} grid")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise InputError(f"{label} grid must be strictly increasing")
-        if grid[0] < np.min(obs) or grid[-1] > np.max(obs):
-            logger.warning(
-                "%s grid [%g, %g] extends outside the observed support [%g, %g]",
-                label, grid[0], grid[-1], np.min(obs), np.max(obs),
-            )
+        if outside_support(grid, obs):
+            self._outside(label, grid, obs)
         return grid
+
+    def _outside(self, label, grid, obs):
+        """Report a grid that reaches outside the observed values."""
+        logger.warning("%s grid [%g, %g] extends outside the observed support [%g, %g]",
+                       label, grid[0], grid[-1], np.min(obs), np.max(obs))
+
+
+def outside_support(grid, obs):
+    """Whether the increasing ``grid`` reaches below or above ``obs``."""
+    return grid[0] < np.min(obs) or grid[-1] > np.max(obs)
 
 
 @dataclass(frozen=True)

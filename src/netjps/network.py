@@ -14,8 +14,8 @@ write-protected), so all operations here are safe to call concurrently.
 """
 
 import math
-from dataclasses import dataclass
-from itertools import chain, filterfalse
+from dataclasses import dataclass, replace
+from itertools import filterfalse, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -82,17 +82,28 @@ class Csr:
         ``cols``): duplicates summed in input order, zeros dropped.  Entries
         known to be distinct may pass ``kind=None``: any sort of distinct
         keys is the stable one, and the default sort is several times
-        faster."""
-        key = rows.astype(np.int64, copy=False) * n + cols
+        faster.  Each full-length temporary is dropped once the next is made
+        from it, and the row-major key ends as the column indices."""
+        key = rows.astype(np.int64)
+        key *= n
+        key += cols
         order = np.argsort(key, kind=kind)
+        data = values[order].astype(float, copy=False)
         key = key[order]
-        starts = np.ones(key.shape[0], dtype=bool)
-        starts[1:] = key[1:] != key[:-1]
-        data = np.bincount(np.cumsum(starts) - 1, weights=values[order])
+        del order
+        starts = np.empty(key.shape[0], dtype=bool)
+        starts[:1] = True
+        np.not_equal(key[1:], key[:-1], out=starts[1:])
+        if not starts.all():
+            data = np.bincount(np.cumsum(starts) - 1, weights=data)
+            key = key[starts]
+        del starts
         stored = data != 0
-        row, col = np.divmod(key[starts][stored], n)
-        indptr = np.searchsorted(row, np.arange(n + 1))
-        arrays = (indptr, col.astype(np.intp, copy=False), data[stored].astype(float, copy=False))
+        if not stored.all():
+            data, key = data[stored], key[stored]
+        del stored
+        indptr = np.searchsorted(key, np.arange(n + 1) * n)
+        arrays = (indptr, np.remainder(key, n, out=key).astype(np.intp, copy=False), data)
         for arr in arrays:
             arr.setflags(write=False)
         return cls(*arrays)
@@ -152,7 +163,7 @@ class EdgeTable:
 
     Edge k runs from ``units[source[k]]`` to ``units[target[k]]`` in period
     ``periods[period[k]]`` with weight ``weight[k]``; ``source``, ``target``
-    and ``period`` are intp code arrays, ``weight`` is float64.
+    and ``period`` are int32 code arrays, ``weight`` is float64.
     """
 
     units: tuple
@@ -166,50 +177,51 @@ class EdgeTable:
         return self.weight.shape[0]
 
     @classmethod
-    def from_blocks(cls, blocks):
-        """From one or more (sources, targets, periods, weights) blocks: three
-        label sequences and a float64 array.
+    def from_codes(cls, sources, targets, periods, source, target, period, weight):
+        """From the label -> code dicts of the sources, targets and periods
+        (codes in order of first appearance), the int32 code arrays into
+        them, and a float64 weight array.
 
-        Sources and targets are coded into separate dicts as they arrive;
-        units then take their order of first appearance over all sources,
-        then all targets, and periods theirs.
+        Units take their order of first appearance over all sources, then
+        all targets: ``sources`` grows into the unit dict, so the source
+        codes are already unit codes, and ``target`` is recoded in place.
         """
-        sources, targets, periods = {}, {}, {}
-        parts = ([], [], [], [])
-        for block in blocks:
-            for labels, part, cells in zip((sources, targets, periods), parts, block):
-                part.append(code_labels(labels, cells))
-            parts[3].append(block[3])
-        columns = []
-        for part in parts:  # join each column, then drop its blocks
-            columns.append(np.concatenate(part))
-            part.clear()
-        source, target, period, weight = columns
-        units = dict.fromkeys(chain(sources, targets))
-        position = dict(zip(units, range(len(units))))
-        remap = np.fromiter(map(position.__getitem__, targets), dtype=np.intp, count=len(targets))
-        return cls(units=tuple(units), periods=tuple(periods), source=source,
-                   target=remap[target], period=period, weight=weight)
+        remap = code_labels(sources, list(targets))
+        target[:] = remap[target]
+        return cls(units=tuple(sources), periods=tuple(periods), source=source,
+                   target=target, period=period, weight=weight)
 
     @classmethod
     def from_records(cls, edges):
         """From an iterable of (source, target, period, weight) tuples."""
-        sources, targets, periods, weights = list(zip(*edges, strict=True)) or ((),) * 4
-        weights = np.fromiter(map(float, weights), dtype=float, count=len(weights))
-        return cls.from_blocks([(sources, targets, periods, weights)])
+        cells = list(zip(*edges, strict=True)) or ((),) * 4
+        labels = ({}, {}, {})
+        codes = [code_labels(d, column) for d, column in zip(labels, cells)]
+        weights = np.fromiter(map(float, cells[3]), dtype=float, count=len(cells[3]))
+        return cls.from_codes(*labels, *codes, weights)
 
     def record(self, k):
         """Edge k as a (source, target, period, weight) tuple."""
         return (self.units[self.source[k]], self.units[self.target[k]],
                 self.periods[self.period[k]], float(self.weight[k]))
 
+    def by_period(self):
+        """This table grouped by period code, each period's edges in input
+        order, and the stable reorder that grouped it: None when the codes
+        never decrease, as in a file written period by period."""
+        if (self.period[1:] >= self.period[:-1]).all():
+            return self, None
+        order = np.argsort(self.period, kind="stable")
+        return replace(self, source=self.source[order], target=self.target[order],
+                       period=self.period[order], weight=self.weight[order]), order
+
 
 def code_labels(labels, cells):
-    """The codes of ``cells`` in ``labels``, a label -> code dict that first
-    grows by each new label in order of first appearance."""
+    """The int32 codes of ``cells`` in ``labels``, a label -> code dict that
+    first grows by each new label in order of first appearance."""
     fresh = list(filterfalse(labels.__contains__, dict.fromkeys(cells)))
     labels.update(zip(fresh, range(len(labels), len(labels) + len(fresh))))
-    return np.fromiter(map(labels.__getitem__, cells), dtype=np.intp, count=len(cells))
+    return np.fromiter(map(labels.__getitem__, cells), dtype=np.int32, count=len(cells))
 
 
 def _check_edge(source, target, period, weight, index_by_period):
@@ -238,7 +250,7 @@ def _block_positions(table, sel, index):
     used = np.zeros(len(table.units), dtype=bool)
     used[target] = True
     used[source] = True
-    lookup = np.full(len(table.units), -1, dtype=np.int64)
+    lookup = np.full(len(table.units), -1, dtype=np.int32)
     lookup[used] = [index.get(table.units[k], -1) for k in np.flatnonzero(used).tolist()]
     return lookup[target], lookup[source]
 
@@ -266,53 +278,84 @@ def build_adjacency(edges, nodes):
         index.setdefault(unit, len(index))
     table = edges if isinstance(edges, EdgeTable) else EdgeTable.from_records(edges)
 
-    # one period at a time: the block positions of its edges' (target,
-    # source), then its CSR; the stable sort keeps each period's edges in
-    # input order.  Only the mask of bad edges spans periods, and once an
-    # edge is bad no further CSR is built.
-    weight = table.weight
-    bad = ~np.isfinite(weight) | (weight < 0) | (table.source == table.target)
-    clean = not bad.any()
-    order = np.argsort(table.period, kind="stable")
-    bounds = np.searchsorted(table.period, np.arange(len(table.periods) + 1), sorter=order)
-    built = {}
+    # one period at a time, each a slice of the table grouped by period: the
+    # block positions of its edges' (target, source), its bad edges, then its
+    # CSR.  Once an edge is bad no further CSR is built, and ``first`` keeps
+    # the input position of the earliest bad edge: the first of a period's
+    # bad edges, through the reorder if there was one.
+    grouped, order = table.by_period()
+    codes = np.arange(len(table.periods) + 1, dtype=grouped.period.dtype)
+    bounds = np.searchsorted(grouped.period, codes)
+    built, first = {}, len(table)
     for code, period in enumerate(table.periods):
-        sel = order[bounds[code]:bounds[code + 1]]
+        lo, hi = bounds[code], bounds[code + 1]
         index = index_by_period.get(period)
         if index is None:
-            bad[sel] = True
-            clean = False
-            continue
-        rows, cols = _block_positions(table, sel, index)
-        unregistered = (rows < 0) | (cols < 0)
-        bad[sel] |= unregistered
-        clean = clean and not unregistered.any()
-        if clean:
-            built[period] = Csr.from_entries(weight[sel], rows, cols, len(index))
-    if not clean:
-        _check_edge(*table.record(int(np.argmax(bad))), index_by_period)
+            bad = np.ones(hi - lo, dtype=bool)
+        else:
+            rows, cols = _block_positions(grouped, slice(lo, hi), index)
+            weight = grouped.weight[lo:hi]
+            bad = (rows < 0) | (cols < 0) | (rows == cols) | ~np.isfinite(weight) | (weight < 0)
+        if bad.any():
+            at = lo + int(np.argmax(bad))
+            first = min(first, at if order is None else int(order[at]))
+        elif first == len(table):
+            built[period] = Csr.from_entries(weight, rows, cols, len(index))
+    if first < len(table):
+        _check_edge(*table.record(first), index_by_period)
 
     none = np.empty(0, dtype=np.intp)
     blocks = {}
     for period, index in index_by_period.items():
-        w = built[period] if period in built else Csr.from_entries(weight[none], none, none, len(index))
+        w = built[period] if period in built else Csr.from_entries(none, none, none, len(index))
         blocks[period] = PeriodBlock(units=tuple(index), index=index, w=w)
     return AdjacencyView(periods=tuple(index_by_period), blocks=blocks)
 
 
+@dataclass(frozen=True)
+class PanelKeys:
+    """A panel's (unit, period) keys, coded and checked unique.
+
+    ``units`` maps each unit label to its code (in order of first
+    appearance) and ``unit`` holds each row's code; ``periods`` are the
+    period labels by code.  ``rows`` sorts the rows by (period, unit) code,
+    so period code p's rows are ``rows[bounds[p]:bounds[p + 1]]``.
+    """
+
+    units: dict
+    periods: tuple
+    unit: np.ndarray
+    rows: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def of(cls, units, periods):
+        """Code the key columns (object arrays).  A key on more than one row
+        raises :class:`InputError` naming the first repeat in row order and
+        the row it repeats."""
+        unit_codes, period_codes = {}, {}
+        unit = code_labels(unit_codes, units.tolist())
+        key = code_labels(period_codes, periods.tolist()).astype(np.int64)
+        key *= len(unit_codes)
+        key += unit
+        rows = np.argsort(key, kind="stable")
+        key = key[rows]
+        repeats = np.flatnonzero(key[1:] == key[:-1]) + 1
+        if repeats.size:
+            at = repeats[np.argmin(rows[repeats])]
+            first, row = rows[at - 1], rows[at]
+            raise InputError(f"duplicate (unit, period) key {(units[row], periods[row])!r} "
+                             f"at rows {first} and {row}")
+        bounds = np.searchsorted(key, np.arange(len(period_codes) + 1) * len(unit_codes))
+        return cls(unit_codes, tuple(period_codes), unit, rows, bounds)
+
+
 def check_unique_keys(dataset):
-    """Index the dataset's rows as ``{period: {unit: row}}``.
+    """The dataset's :class:`PanelKeys`, coded once per dataset.
 
     A (unit, period) key on more than one row raises :class:`InputError`.
     """
-    rows_by_period = {}
-    for row, key in enumerate(zip(dataset.units.tolist(), dataset.periods.tolist())):
-        unit, period = key
-        rows = rows_by_period.setdefault(period, {})
-        if unit in rows:
-            raise InputError(f"duplicate (unit, period) key {key!r} at rows {rows[unit]} and {row}")
-        rows[unit] = row
-    return rows_by_period
+    return dataset.panel_keys()
 
 
 def _aligned_blocks(adj, dataset):
@@ -322,14 +365,25 @@ def _aligned_blocks(adj, dataset):
     row must be a distinct (unit, period) registered in ``adj``, and each
     registered unit of such a period must have a row.
     """
-    for period, rows in check_unique_keys(dataset).items():
+    keys = check_unique_keys(dataset)
+    n_units = len(keys.units)
+    for code, period in enumerate(keys.periods):
         block = adj.block(period)
-        try:
-            positions = np.array([rows[u] for u in block.units], dtype=np.intp)
-        except KeyError as exc:
-            raise InputError(f"dataset has no row for unit {exc.args[0]!r} in period {period!r}") from None
+        rows = keys.rows[keys.bounds[code]:keys.bounds[code + 1]]
+        # the block's unit codes, -1 (the spare last slot) for a unit no row has
+        codes = np.fromiter(map(keys.units.get, block.units, repeat(-1)), dtype=np.intp,
+                            count=len(block.units))
+        row_of = np.full(n_units + 1, -1, dtype=np.intp)
+        row_of[keys.unit[rows]] = rows
+        positions = row_of[codes]
+        missing = positions < 0
+        if missing.any():
+            unit = block.units[np.argmax(missing)]
+            raise InputError(f"dataset has no row for unit {unit!r} in period {period!r}")
         if len(rows) > len(positions):
-            unit = next(u for u in rows if u not in block.index)
+            registered = np.zeros(n_units + 1, dtype=bool)
+            registered[codes] = True
+            unit = dataset.units[rows[~registered[keys.unit[rows]]].min()]
             raise InputError(f"unknown unit {unit!r}: not registered in period {period!r}")
         yield block, positions
 

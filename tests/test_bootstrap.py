@@ -1,3 +1,4 @@
+import logging
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from netjps.errors import BootstrapError, InputError, SingularDesignError
 from netjps.io import drf_payload, jsonable
 from netjps.jps import GridPolicy, JpsConfig, run_jps, run_naive
 from netjps import bootstrap as bootstrap_mod
-from netjps.synth import OutcomeRule, Scenario, generate, scenario_quadratic
+from netjps.synth import OutcomeRule, Scenario, generate, scenario_confounded, scenario_quadratic
 
 
 def small_panel(seed=0, n_units=120, **kw):
@@ -103,6 +104,22 @@ class TestBands:
                               (point.marginal_g, bands.marginal_g_lo, bands.marginal_g_hi)):
             for bound in (lo, hi):
                 assert np.array_equal(np.isfinite(bound), np.isfinite(curve))
+
+
+class TestLogging:
+    def test_grid_outside_the_support_is_logged_once(self, caplog):
+        # the point estimate logs the grid, the replicates one count
+        sc = scenario_confounded(1)
+        ds, _ = generate(sc)
+        names = sc.covariate_names()
+        cfg = JpsConfig(x_z=names, x_g=names, grid=GridPolicy(z_values=(0.01, 1.0, 50.0)))
+        with caplog.at_level(logging.WARNING, logger="netjps"):
+            point = run_jps(ds, cfg).drf
+            bootstrap_drf(ds, cfg, point, b=5, seed=1)
+        lines = [r.getMessage() for r in caplog.records if "outside" in r.getMessage()]
+        assert len(lines) == 2, lines
+        assert lines[0].startswith("z grid [0.01, 50] extends outside the observed support")
+        assert lines[1] == "the grid extends outside the resampled support in 5 of 5 replicates"
 
 
 class TestFailureHandling:

@@ -53,6 +53,30 @@ class TestPanelDataset:
                            z=[1.0, 2.0], covariates={})
         with pytest.raises(InputError, match="duplicate"):
             check_unique_keys(dup)
+        # the first repeat in row order is row 3, of ('a', 1) first on row 1,
+        # though ('b', 1) repeats too and its rows come first
+        dup = PanelDataset(units=["b", "a", "c", "a", "b", "b"], periods=[1, 1, 2, 1, 1, 2],
+                           y=np.zeros(6), z=np.ones(6), covariates={})
+        with pytest.raises(InputError, match=r"^duplicate \(unit, period\) key \('a', 1\) at rows 1 and 3$"):
+            check_unique_keys(dup)
+
+    def test_keys_are_coded_once_per_ingest(self, monkeypatch):
+        # exposure and each neighborhood covariate reuse the checked keys
+        from netjps import network
+
+        ds = small_dataset()
+        adj = build_adjacency([("b", "a", 1, 1.0), ("c", "a", 1, 1.0)], ds.keys())
+        coded = []
+        original = network.PanelKeys.of
+        monkeypatch.setattr(network.PanelKeys, "of",
+                            classmethod(lambda cls, *a: coded.append(1) or original(*a)))
+        check_unique_keys(ds)
+        ds = attach_exposure(ds, adj)
+        for direction in ("in", "out"):
+            ds = ds.with_covariate(direction, network.neighborhood_covariate(
+                adj, ds, network.NeighborhoodSummarySpec("u", direction=direction))[0])
+        assert len(coded) == 1
+        assert ds.g.tolist() == [5 / 3, 0.0, 0.0, 0.0]
 
     def test_subset_allows_duplicates(self):
         ds = small_dataset()
@@ -169,6 +193,27 @@ class TestEdgeIngest:
         adj = build_adjacency(edges, [("a,1", "1"), ("b", "1")])
         assert scipy_csr(adj.block("1").w).toarray().tolist() == [[0.0, 3.5], [2.0, 0.0]]
 
+    def test_columns_grow_past_a_short_estimate(self, tmp_path, monkeypatch):
+        # the first block's long labels make the file look like fewer rows
+        records = [("x" * 300 + str(k), "b", "1", float(k)) for k in range(2)]
+        records += [(f"a{k}", f"c{k % 7}", str(k % 3), k / 4) for k in range(200)]
+        p = tmp_path / "edges.csv"
+        p.write_text(EDGE_HEADER + "".join(f"{s},{t},{q},{w!r}\n" for s, t, q, w in records))
+        estimates, original = [], netjps_io._estimate_rows
+
+        def estimate(*args):
+            estimates.append(original(*args))
+            return estimates[-1]
+
+        monkeypatch.setattr(netjps_io, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(netjps_io, "_estimate_rows", estimate)
+        table, want = read_edges_csv(p), EdgeTable.from_records(records)
+        assert estimates and estimates[0] < len(records) == len(table)
+        assert (table.units, table.periods) == (want.units, want.periods)
+        for name in ("source", "target", "period", "weight"):
+            a, b = getattr(table, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("last_row, message", LAST_ROW_ERRORS)
     def test_errors_name_the_file_line(self, tmp_path, last_row, message):
         # line numbers count blank lines and the lines inside quoted cells
@@ -242,6 +287,27 @@ class TestBlockStreaming:
         assert whole_edges.units == ("a\nb", "c", "d", "e", "b", "a")
         assert whole_panel[0].tolist() == ["a\nb", "c", "a", "a\nb", "c"]
 
+    def test_columns_grow_past_a_short_estimate(self, tmp_path, monkeypatch):
+        # the first block's long labels make the file look like fewer rows
+        records = [("x" * 300 + str(k), "b", "1", float(k)) for k in range(2)]
+        records += [(f"a{k}", f"c{k % 7}", str(k % 3), k / 4) for k in range(200)]
+        p = tmp_path / "edges.csv"
+        p.write_text(EDGE_HEADER + "".join(f"{s},{t},{q},{w!r}\n" for s, t, q, w in records))
+        estimates, original = [], netjps_io._estimate_rows
+
+        def estimate(*args):
+            estimates.append(original(*args))
+            return estimates[-1]
+
+        monkeypatch.setattr(netjps_io, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(netjps_io, "_estimate_rows", estimate)
+        table, want = read_edges_csv(p), EdgeTable.from_records(records)
+        assert estimates and estimates[0] < len(records) == len(table)
+        assert (table.units, table.periods) == (want.units, want.periods)
+        for name in ("source", "target", "period", "weight"):
+            a, b = getattr(table, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("last_row, message", LAST_ROW_ERRORS)
     def test_errors_name_the_file_line(self, tmp_path, block_rows, last_row, message):
         p = tmp_path / "edges.csv"
@@ -281,7 +347,7 @@ class TestBlockStreaming:
         assert table.period.tolist() == [0, 1, 0]
         assert table.weight.dtype == np.float64
         empty = EdgeTable.from_records([])
-        assert len(empty) == 0 and empty.source.dtype == np.intp
+        assert len(empty) == 0 and empty.source.dtype == np.int32
 
 
 class TestCsvWriterBytes:

@@ -72,6 +72,36 @@ def test_first_offending_edge_across_periods():
         [[0, 0, 2.0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1.0, 0, 0.5], [0, 0, 0]]]
 
 
+def _csr_bytes(adj):
+    return [(a.dtype, a.tobytes()) for p in adj.periods
+            for a in (adj.block(p).w.data, adj.block(p).w.indices, adj.block(p).w.indptr)]
+
+
+def test_interleaved_periods_build_the_grouped_csr():
+    # interleaved edges are reordered by period once, stably, so duplicates
+    # still sum in input order; the bad-edge search stays in input order
+    rng = np.random.default_rng(3)
+    nodes = [(u, p) for p in (2001, 2000, 2002) for u in rng.permutation(30).tolist()]
+    pairs = rng.integers(0, 30, size=(600, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]] % 12  # few pairs: many duplicates
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    edges = [(int(s), int(t), int(rng.choice([2000, 2001, 2002])),
+              float(rng.choice([0.0, 0.1, 0.7, 1e-9, 3.0]))) for s, t in pairs]
+    first = {p: k for k, (_, _, p, _) in reversed(list(enumerate(edges)))}
+    grouped = sorted(edges, key=lambda e: first[e[2]])
+    assert grouped != edges
+    assert _csr_bytes(build_adjacency(edges, nodes)) == _csr_bytes(build_adjacency(grouped, nodes))
+
+    # edges[1] is the first bad edge in input order, but its period comes
+    # second: the grouped table holds edges[2] first
+    bad = [(0, 1, 2000, 1.0), (3, 3, 2001, 1.0), (4, 99, 2000, 1.0), (5, 6, 2002, -1.0)]
+    with pytest.raises(InputError, match=r"^self-loop on unit 3 in period 2001$"):
+        build_adjacency(bad, nodes)
+    for moved in (bad[2:3] + bad[:2] + bad[3:], sorted(bad, key=lambda e: e[2])):
+        with pytest.raises(InputError, match=r"^edge \(4, 99, 2000\) references unregistered unit 99$"):
+            build_adjacency(moved, nodes)
+
+
 def test_unknown_unit_rejected():
     with pytest.raises(InputError, match="unregistered"):
         build_adjacency([("A", "Z", 2000, 1.0)], NODES3)

@@ -57,6 +57,22 @@ def test_ingest_memory_is_a_small_multiple_of_the_arrays(tmp_path):
     assert build_peak <= 3 * nbytes + BLOCK_ALLOWANCE, (build_peak, nbytes)
 
 
+def test_ingest_bytes_per_edge(tmp_path):
+    # the table is 20 bytes an edge (three int32 codes and a float64
+    # weight); the read adds the label dicts and one block, the build each
+    # period's int32 positions and int64 keys beside the CSRs it returns
+    ds, adj = generate_sparse(sparse_scenario(5000, 10), 10)
+    path = tmp_path / "edges.csv"
+    write_edges_csv(adj, path)
+    nodes = [(str(u), str(p)) for u, p in ds.keys()]
+
+    table, read_peak = traced_peak(read_edges_csv, path)
+    assert read_peak / len(table) <= 45, read_peak
+    built, build_peak = traced_peak(build_adjacency, table, nodes)
+    assert built.n_edges() == len(table) == 100_000
+    assert build_peak / len(table) <= 50, build_peak
+
+
 def test_edge_writer_memory_does_not_grow_with_the_edges(tmp_path):
     # 100k edges written a block at a time: one block's cells and each
     # period's unit labels, not a Python object per edge (about 9.6 MB)
