@@ -69,6 +69,18 @@ def _outdir(cfg):
     return out
 
 
+def _log_flagged(drf):
+    """Log the counts of a point estimate's flagged surface cells and
+    marginal entries, once per run; its replicates' flags are the NaN
+    cells of the bands."""
+    if drf.meta["flagged_cells"]:
+        logger.warning("%d non-finite surface cells flagged", len(drf.meta["flagged_cells"]))
+    for name in ("marginal_z", "marginal_g"):
+        curve = getattr(drf, name)
+        if curve is not None and np.isnan(curve).any():
+            logger.warning("%d non-finite %s entries flagged", np.isnan(curve).sum(), name)
+
+
 def cmd_exposure(cfg):
     dataset, _ = _load_dataset(cfg)
     out = _outdir(cfg)
@@ -136,6 +148,7 @@ def cmd_drf(cfg):
 
     drfs = [res.drf for res in (result, nres) if res is not None]
     for i, drf in enumerate(drfs):
+        _log_flagged(drf)
         stem = "drf" if i == 0 else "naive"
         with_g = drf.g_grid is not None
         report = jps.effects(drf, cfg.contrasts if with_g
@@ -188,6 +201,8 @@ def cmd_simulate(cfg):
     )
     drf = jps.run_jps(dataset, config).drf
     naive = jps.run_naive(dataset, config).drf
+    for est in (drf, naive):
+        _log_flagged(est)
     oracle = synth.oracle_drf(scenario, drf.z_grid, drf.g_grid, m=cfg.oracle_m)
 
     io_mod.write_json(oracle, out / "oracle.json")

@@ -33,6 +33,8 @@ class PanelDataset:
         n = self.units.shape[0]
         if self.periods.shape[0] != n or self.y.shape[0] != n or self.z.shape[0] != n:
             raise InputError("panel columns must have equal length")
+        if n == 0:
+            raise InputError("panel has no rows")
         covs = {k: np.asarray(v, dtype=float) for k, v in self.covariates.items()}
         for name, v in covs.items():
             if v.shape[0] != n:
@@ -55,25 +57,22 @@ class PanelDataset:
         return int(self.units.shape[0])
 
     def keys(self):
-        return list(zip(self.units.tolist(), self.periods.tolist()))
-
-    def panel_keys(self):
-        """The rows' keys as :class:`~netjps.network.PanelKeys`, coded on
-        first use and shared by every dataset derived from this one with
-        the same key columns (:meth:`with_covariate`,
+        """The rows' keys as :class:`~netjps.network.PanelKeys`, coded and
+        checked unique on first use and shared by every dataset derived from
+        this one with the same key columns (:meth:`with_covariate`,
         :func:`attach_exposure`)."""
-        keys = self.__dict__.get("_panel_keys")
+        keys = self.__dict__.get("_keys")
         if keys is None:
             keys = PanelKeys.of(self.units, self.periods)
-            object.__setattr__(self, "_panel_keys", keys)
+            object.__setattr__(self, "_keys", keys)
         return keys
 
     def _derive(self, **changes):
         """``replace(self, **changes)`` for changes that keep the key
         columns, carrying the coded keys along."""
         derived = replace(self, **changes)
-        if "_panel_keys" in self.__dict__:
-            object.__setattr__(derived, "_panel_keys", self._panel_keys)
+        if "_keys" in self.__dict__:
+            object.__setattr__(derived, "_keys", self._keys)
         return derived
 
     def covariate_matrix(self, names):

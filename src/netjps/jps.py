@@ -163,7 +163,8 @@ class DrfGrid:
     (z_grid[iz], g_grid[ig]); a z-only grid (the no-interference estimator)
     has ``g_grid``/``surface``/``marginal_g`` set to None.  Non-finite
     surface cells are NaN, listed in ``meta["flagged_cells"]``; non-finite
-    marginal entries are set to NaN here, with a warning.
+    marginal entries are set to NaN here.  Neither is logged: the bootstrap
+    builds a grid per replicate, so the CLI logs a point estimate's flags.
     """
 
     z_grid: np.ndarray
@@ -187,7 +188,6 @@ class DrfGrid:
         for name in ("marginal_z", "marginal_g"):
             curve = getattr(self, name)
             if curve is not None and not np.all(np.isfinite(curve)):
-                logger.warning("%d non-finite %s entries flagged", np.sum(~np.isfinite(curve)), name)
                 setattr(self, name, np.where(np.isfinite(curve), curve, np.nan))
 
 
@@ -466,7 +466,6 @@ def impute_drf(gps, scores, outcome, dataset, grid=None):
 
     flagged = [tuple(cell) for cell in np.argwhere(~np.isfinite(surface)).tolist()]
     if flagged:
-        logger.warning("%d non-finite surface cells flagged", len(flagged))
         surface[~np.isfinite(surface)] = np.nan
     meta = {
         "n": n,

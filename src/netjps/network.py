@@ -132,7 +132,6 @@ class Csr:
 @dataclass(frozen=True)
 class PeriodBlock:
     units: tuple
-    index: dict
     w: Csr  # w[i, j] = summed weight of edges j -> i; no stored zeros, read-only
 
 
@@ -224,7 +223,7 @@ def code_labels(labels, cells):
     return np.fromiter(map(labels.__getitem__, cells), dtype=np.int32, count=len(cells))
 
 
-def _check_edge(source, target, period, weight, index_by_period):
+def _check_edge(source, target, period, weight, unit_codes, period_units):
     """Raise the error of the first rule the edge breaks, in the order
     weight, self-loop, period, target, source."""
     if not math.isfinite(weight) or weight < 0:
@@ -233,26 +232,14 @@ def _check_edge(source, target, period, weight, index_by_period):
         )
     if source == target:
         raise InputError(f"self-loop on unit {source!r} in period {period!r}")
-    index = index_by_period.get(period)
-    if index is None:
+    units = period_units.get(period)
+    if units is None:
         raise InputError(f"edge references unregistered period {period!r}")
     for unit in (target, source):
-        if unit not in index:
+        if unit_codes.get(unit, -1) not in units:
             raise InputError(
                 f"edge ({source!r}, {target!r}, {period!r}) references unregistered unit {unit!r}"
             )
-
-
-def _block_positions(table, sel, index):
-    """Positions in ``index`` (a unit -> position dict) of the targets and
-    sources of the edges ``sel`` of ``table``, -1 where unregistered."""
-    target, source = table.target[sel], table.source[sel]
-    used = np.zeros(len(table.units), dtype=bool)
-    used[target] = True
-    used[source] = True
-    lookup = np.full(len(table.units), -1, dtype=np.int32)
-    lookup[used] = [index.get(table.units[k], -1) for k in np.flatnonzero(used).tolist()]
-    return lookup[target], lookup[source]
 
 
 def build_adjacency(edges, nodes):
@@ -262,21 +249,27 @@ def build_adjacency(edges, nodes):
     ----------
     edges : EdgeTable or iterable of (source, target, period, weight)
         Duplicate (source, target, period) edges are summed.
-    nodes : iterable of (unit, period)
-        Registry of valid unit ids per period; order is preserved.
+    nodes : PanelKeys or iterable of (unit, period)
+        Registry of valid unit ids per period, such as ``dataset.keys()``;
+        each period's units keep their row order.
 
     Raises
     ------
     InputError
-        On self-loops, unregistered unit ids, or negative/non-finite weights;
-        the first offending edge in input order is named.
+        On a repeated registry key, self-loops, unregistered unit ids, or
+        negative/non-finite weights; the first offending edge in input order
+        is named.
     """
-    # insertion-ordered dicts: first appearance fixes the order, repeats are free
-    index_by_period = {}
-    for unit, period in nodes:
-        index = index_by_period.setdefault(period, {})
-        index.setdefault(unit, len(index))
+    keys = nodes if isinstance(nodes, PanelKeys) else PanelKeys.of(
+        *(list(zip(*nodes, strict=True)) or ((),) * 2))
     table = edges if isinstance(edges, EdgeTable) else EdgeTable.from_records(edges)
+    # each period's unit codes: its registry rows in row order
+    period_units = {period: keys.unit[np.sort(keys.rows[keys.bounds[p]:keys.bounds[p + 1]])]
+                    for p, period in enumerate(keys.periods)}
+    # the registry code of each unit label of the table, -1 (the spare last
+    # slot of each period's positions) for an unregistered one
+    unit_code = np.fromiter(map(keys.units.get, table.units, repeat(-1)), dtype=np.intp,
+                            count=len(table.units))
 
     # one period at a time, each a slice of the table grouped by period: the
     # block positions of its edges' (target, source), its bad edges, then its
@@ -289,27 +282,31 @@ def build_adjacency(edges, nodes):
     built, first = {}, len(table)
     for code, period in enumerate(table.periods):
         lo, hi = bounds[code], bounds[code + 1]
-        index = index_by_period.get(period)
-        if index is None:
+        units = period_units.get(period)
+        if units is None:
             bad = np.ones(hi - lo, dtype=bool)
         else:
-            rows, cols = _block_positions(grouped, slice(lo, hi), index)
+            position = np.full(len(keys.units) + 1, -1, dtype=np.int32)
+            position[units] = np.arange(len(units))
+            lookup = position[unit_code]
+            rows, cols = lookup[grouped.target[lo:hi]], lookup[grouped.source[lo:hi]]
             weight = grouped.weight[lo:hi]
             bad = (rows < 0) | (cols < 0) | (rows == cols) | ~np.isfinite(weight) | (weight < 0)
         if bad.any():
             at = lo + int(np.argmax(bad))
             first = min(first, at if order is None else int(order[at]))
         elif first == len(table):
-            built[period] = Csr.from_entries(weight, rows, cols, len(index))
+            built[period] = Csr.from_entries(weight, rows, cols, len(units))
     if first < len(table):
-        _check_edge(*table.record(first), index_by_period)
+        _check_edge(*table.record(first), keys.units, period_units)
 
+    labels = tuple(keys.units)
     none = np.empty(0, dtype=np.intp)
     blocks = {}
-    for period, index in index_by_period.items():
-        w = built[period] if period in built else Csr.from_entries(none, none, none, len(index))
-        blocks[period] = PeriodBlock(units=tuple(index), index=index, w=w)
-    return AdjacencyView(periods=tuple(index_by_period), blocks=blocks)
+    for period, units in period_units.items():
+        w = built[period] if period in built else Csr.from_entries(none, none, none, len(units))
+        blocks[period] = PeriodBlock(units=tuple(map(labels.__getitem__, units.tolist())), w=w)
+    return AdjacencyView(periods=keys.periods, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -330,12 +327,12 @@ class PanelKeys:
 
     @classmethod
     def of(cls, units, periods):
-        """Code the key columns (object arrays).  A key on more than one row
-        raises :class:`InputError` naming the first repeat in row order and
-        the row it repeats."""
+        """Code the key columns (sequences of labels).  A key on more than
+        one row raises :class:`InputError` naming the first repeat in row
+        order and the row it repeats."""
         unit_codes, period_codes = {}, {}
-        unit = code_labels(unit_codes, units.tolist())
-        key = code_labels(period_codes, periods.tolist()).astype(np.int64)
+        unit = code_labels(unit_codes, list(units))
+        key = code_labels(period_codes, list(periods)).astype(np.int64)
         key *= len(unit_codes)
         key += unit
         rows = np.argsort(key, kind="stable")
@@ -355,7 +352,7 @@ def check_unique_keys(dataset):
 
     A (unit, period) key on more than one row raises :class:`InputError`.
     """
-    return dataset.panel_keys()
+    return dataset.keys()
 
 
 def _aligned_blocks(adj, dataset):

@@ -169,7 +169,7 @@ def _draw_panel(scenario, draw_edges):
 
     units_all, periods_all = [], []
     x_all, z_all, eps_y_all = [], [], []
-    sources, targets, edge_periods, weights, nodes = [], [], [], [], []
+    sources, targets, edge_periods, weights = [], [], [], []
     for t in range(scenario.n_periods):
         x = rng.normal(scenario.covariate_mean, scenario.covariate_sd, size=(n, kx))
         z = np.exp(
@@ -180,7 +180,6 @@ def _draw_panel(scenario, draw_edges):
         rows, cols, w = draw_edges(rng, x)
         eps_y = rng.normal(0.0, scenario.outcome_sd, size=n)
 
-        nodes.extend((u, t) for u in range(n))
         sources.append(cols)
         targets.append(rows)
         edge_periods.append(np.full(rows.size, t, dtype=np.intp))
@@ -207,7 +206,7 @@ def _draw_panel(scenario, draw_edges):
         source=np.concatenate(sources), target=np.concatenate(targets),
         period=np.concatenate(edge_periods), weight=np.concatenate(weights),
     )
-    adj = build_adjacency(edges, nodes)
+    adj = build_adjacency(edges, dataset.keys())
     dataset = attach_exposure(dataset, adj, scenario.exposure_mode)
     y = scenario.outcome.value(z, dataset.g, x) + eps_y
     dataset = replace(dataset, y=y)

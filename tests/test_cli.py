@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -427,6 +428,24 @@ class TestCommands:
         assert nulls(effects["dz"]).tolist() == [True, True]
         assert doc["bands"]["failure_log"] == [] and naive["bands"]["failure_log"] == []
 
+    @pytest.mark.parametrize("command", ["drf", "simulate"])
+    def test_flags_are_logged_once_per_estimator(self, simulated, tmp_path, caplog, command):
+        # z^3 overflows at z = 1e103: the joint surface's row there and both
+        # z-marginals' entries are flagged, and the bootstrap's replicates
+        # leave their flags to the bands
+        if command == "drf":
+            text = RUN_CONFIG.format(panel=simulated / "panel.csv", edges=simulated / "edges.csv",
+                                     out=tmp_path / "o", variant="both", b=4)
+        else:
+            text = SIM_CONFIG.format(out=tmp_path / "o")
+        runfile = write(tmp_path / "run.cfg", text + "grid.z_values = 1.0, 1e103\n")
+        with caplog.at_level(logging.WARNING), np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, "--config", runfile]) == 0
+        flagged = [r.getMessage() for r in caplog.records if "flagged" in r.getMessage()]
+        assert flagged == ["6 non-finite surface cells flagged",
+                           "1 non-finite marginal_z entries flagged",  # joint
+                           "1 non-finite marginal_z entries flagged"]  # naive
+
     def test_drf_runs_each_pipeline_once_outside_the_bootstrap(self, simulated, tmp_path,
                                                                 monkeypatch):
         from netjps import bootstrap as bootstrap_mod
@@ -582,6 +601,17 @@ class TestErrorContract:
         assert code == 5
         assert err["error"] == "input"
         assert "row 4" in err["message"]
+
+    @pytest.mark.parametrize("command", ["exposure", "fit", "drf", "balance"])
+    def test_header_only_panel_is_an_input_error(self, simulated, tmp_path, capsys, command):
+        panel = tmp_path / "empty.csv"
+        panel.write_text((simulated / "panel.csv").read_text().splitlines()[0] + "\n")
+        runfile = write(tmp_path / "run.cfg", RUN_CONFIG.format(
+            panel=panel, edges=simulated / "edges.csv", out=tmp_path / "o", variant="both", b=0,
+        ))
+        assert main([command, "--config", runfile]) == 5
+        assert json.loads(capsys.readouterr().err) == {"error": "input",
+                                                       "message": "panel has no rows"}
 
     def test_degenerate_exposure_exit_code(self, simulated, tmp_path, capsys):
         # edge file with a single zero-weight edge: exposures all zero

@@ -61,15 +61,15 @@ class TestPanelDataset:
             check_unique_keys(dup)
 
     def test_keys_are_coded_once_per_ingest(self, monkeypatch):
-        # exposure and each neighborhood covariate reuse the checked keys
+        # the graph, exposure and each neighborhood covariate reuse the checked keys
         from netjps import network
 
         ds = small_dataset()
-        adj = build_adjacency([("b", "a", 1, 1.0), ("c", "a", 1, 1.0)], ds.keys())
         coded = []
         original = network.PanelKeys.of
         monkeypatch.setattr(network.PanelKeys, "of",
                             classmethod(lambda cls, *a: coded.append(1) or original(*a)))
+        adj = build_adjacency([("b", "a", 1, 1.0), ("c", "a", 1, 1.0)], ds.keys())
         check_unique_keys(ds)
         ds = attach_exposure(ds, adj)
         for direction in ("in", "out"):

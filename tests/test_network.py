@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -35,7 +37,7 @@ def test_duplicate_edges_are_summed():
         [("A", "B", 2000, 2.0), ("A", "B", 2000, 2.0)], NODES3
     )
     block = adj.block(2000)
-    assert scipy_csr(block.w)[block.index["B"], block.index["A"]] == 4.0
+    assert scipy_csr(block.w)[block.units.index("B"), block.units.index("A")] == 4.0
     assert adj.n_edges() == 1
 
 
@@ -178,13 +180,91 @@ def test_degree_cases():
 
 
 def test_registry_keeps_first_appearance_order():
-    nodes = [("B", 1), ("A", 2), ("A", 1), ("B", 1), ("C", 2), ("A", 2), ("A", 1), ("C", 1)]
+    # each period's units in row order, though A has the first unit code
+    nodes = [("A", 2), ("B", 1), ("C", 2), ("A", 1), ("C", 1)]
     adj = build_adjacency([("A", "B", 1, 1.0)], nodes)
-    assert adj.periods == (1, 2)
+    assert adj.periods == (2, 1)
     assert adj.block(1).units == ("B", "A", "C")
     assert adj.block(2).units == ("A", "C")
-    assert adj.block(1).index == {"B": 0, "A": 1, "C": 2}
     assert scipy_csr(adj.block(1).w)[0, 1] == 1.0
+
+
+def test_repeated_registry_key_rejected():
+    with pytest.raises(InputError, match=r"^duplicate \(unit, period\) key \('A', 2000\) at rows 0 and 3$"):
+        build_adjacency([], NODES3 + [("A", 2000)])
+
+
+def _first_appearance(nodes):
+    """Plain-loop oracle of the registry: each period's units in order of
+    first appearance, periods alike."""
+    units = {}
+    for unit, period in nodes:
+        units.setdefault(period, []).append(unit)
+    return units
+
+
+def _loop_graph(edges, units):
+    """Plain-loop oracle of the build: each period's dense matrix, or the
+    error of the first bad edge."""
+    dense = {p: np.zeros((len(us), len(us))) for p, us in units.items()}
+    for s, t, p, w in edges:
+        if not math.isfinite(w) or w < 0:
+            return f"edge ({s!r}, {t!r}, {p!r}): weight must be finite and >= 0, got {w}"
+        if s == t:
+            return f"self-loop on unit {s!r} in period {p!r}"
+        if p not in units:
+            return f"edge references unregistered period {p!r}"
+        for u in (t, s):
+            if u not in units[p]:
+                return f"edge ({s!r}, {t!r}, {p!r}) references unregistered unit {u!r}"
+        dense[p][units[p].index(t), units[p].index(s)] += w
+    return dense
+
+
+def _random_edge(rng, units):
+    """An edge of a random registered period, now and then broken."""
+    p = rng.choice(list(units))
+    s, t = rng.choice(units[p], size=2, replace=False).tolist()
+    w = float(rng.choice([0.0, 1e-9, 0.1, 0.7, 3.0]))
+    fault = rng.choice(["none"] * 30 + ["unit", "foreign", "period", "loop", "weight"])
+    if fault == "unit":
+        s, t = (s, "Z") if rng.random() < 0.5 else ("Z", t)
+    elif fault == "foreign":  # a unit of the panel, perhaps not of this period
+        t = str(rng.choice(list("ABCDEF")))
+    elif fault == "period":
+        p = 9
+    elif fault == "loop":
+        t = s
+    elif fault == "weight":
+        w = float(rng.choice([-1.0, np.nan, np.inf]))
+    return s, t, int(p), w
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_coded_keys_and_pairs_build_the_same_graph(seed):
+    # periods list their units in different orders and the registry rows
+    # interleave periods; the edges interleave periods too
+    rng = np.random.default_rng(seed)
+    nodes = [(u, p) for p in rng.permutation(4)[:rng.integers(1, 5)].tolist()
+             for u in rng.permutation(list("ABCDEF"))[:rng.integers(2, 7)].tolist()]
+    nodes = [nodes[k] for k in rng.permutation(len(nodes))]
+    ds = PanelDataset(units=[u for u, _ in nodes], periods=[p for _, p in nodes],
+                      y=np.zeros(len(nodes)), z=np.ones(len(nodes)), covariates={})
+    units = _first_appearance(nodes)
+    edges = [_random_edge(rng, units) for _ in range(rng.integers(0, 25))]
+    want = _loop_graph(edges, units)
+    if isinstance(want, str):
+        for registry in (nodes, ds.keys()):
+            with pytest.raises(InputError) as raised:
+                build_adjacency(edges, registry)
+            assert str(raised.value) == want
+        return
+    adj = build_adjacency(edges, ds.keys())
+    assert _csr_bytes(adj) == _csr_bytes(build_adjacency(edges, nodes))
+    assert adj.periods == tuple(units)
+    for p in adj.periods:
+        assert adj.block(p).units == tuple(units[p])
+        assert np.array_equal(scipy_csr(adj.block(p).w).toarray(), want[p])
 
 
 def _dataset3(values):

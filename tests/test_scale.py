@@ -45,7 +45,7 @@ def test_ingest_memory_is_a_small_multiple_of_the_arrays(tmp_path):
     ds, adj = generate_sparse(sparse_scenario(5000, 10), 10)
     path = tmp_path / "edges.csv"
     write_edges_csv(adj, path)
-    nodes = [(str(u), str(p)) for u, p in ds.keys()]
+    nodes = list(zip(map(str, ds.units), map(str, ds.periods)))
 
     table, read_peak = traced_peak(read_edges_csv, path)
     assert len(table) == 100_000
@@ -64,7 +64,7 @@ def test_ingest_bytes_per_edge(tmp_path):
     ds, adj = generate_sparse(sparse_scenario(5000, 10), 10)
     path = tmp_path / "edges.csv"
     write_edges_csv(adj, path)
-    nodes = [(str(u), str(p)) for u, p in ds.keys()]
+    nodes = list(zip(map(str, ds.units), map(str, ds.periods)))
 
     table, read_peak = traced_peak(read_edges_csv, path)
     assert read_peak / len(table) <= 45, read_peak
