@@ -98,6 +98,15 @@ def _fit_dropping_singular(x, y, names, step, protected=frozenset()):
             logger.warning("balance %s: dropped singular columns %s", step, kill)
 
 
+def _nonsingular_design(cols, y):
+    """The design matrix and names of the ``(column, name)`` pairs ``cols``
+    that a fit of ``y`` keeps once its singular columns are dropped."""
+    fit, _ = _fit_dropping_singular(np.column_stack([c for c, _ in cols]), y,
+                                    [nm for _, nm in cols], "shrinkage")
+    by_name = {nm: c for c, nm in cols}
+    return np.column_stack([by_name[nm] for nm in fit.names]), fit.names
+
+
 def _cubic(values, label):
     return tuple(zip(powers(values), (label, f"{label}^2", f"{label}^3")))
 
@@ -237,18 +246,16 @@ def balance_check(dataset, gps, scores):
     sd_z, sd_g = float(np.std(dataset.z)), float(np.std(g))
     score_cols = [*_cubic(scores.phi, "phi"), *_cubic(scores.lam, "lambda")]
     base_cols = [(ones, "const"), (dataset.z, "z"), (g, "g")]
-    for name in dict.fromkeys((*gps.x_z, *gps.x_g)):
+    names = tuple(dict.fromkeys((*gps.x_z, *gps.x_g)))
+    if names:
+        # which columns are singular depends on the design alone: find and
+        # log them once per design, on the first covariate's fit
+        first = dataset.covariates[names[0]]
+        designs = [_nonsingular_design(cols, first) for cols in (base_cols, base_cols + score_cols)]
+    for name in names:
         xk = dataset.covariates[name]
         sd_x = float(np.std(xk))
-        fit_wo, _ = _fit_dropping_singular(
-            np.column_stack([c for c, _ in base_cols]), xk,
-            [nm for _, nm in base_cols], "shrinkage",
-        )
-        cols_w = base_cols + list(score_cols)
-        fit_w, _ = _fit_dropping_singular(
-            np.column_stack([c for c, _ in cols_w]), xk,
-            [nm for _, nm in cols_w], "shrinkage",
-        )
+        fit_wo, fit_w = (fit_ols(x, xk, names=kept) for x, kept in designs)
         row = {}
         for treat, sd_t in (("z", sd_z), ("g", sd_g)):
             without = _standardized_coef(fit_wo, treat, sd_t, sd_x) if sd_x > 0 else 0.0

@@ -50,15 +50,6 @@ class BootstrapBands:
                 raise InputError("percentile bands must satisfy lower <= upper")
 
 
-class _ReplicateGrid(GridPolicy):
-    """The point estimate's explicit grid, which a replicate resolves
-    without logging where it leaves the resampled support:
-    :func:`bootstrap_drf` counts those replicates and logs the count once."""
-
-    def _outside(self, label, grid, obs):
-        pass
-
-
 def _percentiles(stack, level):
     """Order-independent percentile bounds: sort replicates, then interpolate."""
     stack = np.sort(np.stack(stack, axis=0), axis=0)
@@ -85,7 +76,7 @@ def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
 
     with_g = point.g_grid is not None
     run = run_jps if with_g else run_naive
-    fixed_grid = _ReplicateGrid(
+    fixed_grid = GridPolicy(
         z_values=tuple(point.z_grid),
         g_values=tuple(point.g_grid) if with_g else None,
     )

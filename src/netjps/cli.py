@@ -81,6 +81,16 @@ def _log_flagged(drf):
             logger.warning("%d non-finite %s entries flagged", np.isnan(curve).sum(), name)
 
 
+def _log_support(drf, dataset):
+    """Log each grid axis of a run's first point estimate that reaches
+    outside the observed values, once per run: a naive z grid run beside
+    it is the same, and the bootstrap logs its replicates as one count."""
+    for label, grid, obs in (("z", drf.z_grid, dataset.z), ("g", drf.g_grid, dataset.g)):
+        if grid is not None and jps.outside_support(grid, obs):
+            logger.warning("%s grid [%g, %g] extends outside the observed support [%g, %g]",
+                           label, grid[0], grid[-1], np.min(obs), np.max(obs))
+
+
 def cmd_exposure(cfg):
     dataset, _ = _load_dataset(cfg)
     out = _outdir(cfg)
@@ -122,6 +132,7 @@ def cmd_fit(cfg):
     dataset, _ = _load_dataset(cfg)
     out = _outdir(cfg)
     result, nres = _run_variants(cfg, _jps_config(cfg), dataset)
+    _log_support((result or nres).drf, dataset)
     io_mod.write_json(_fit_summary(cfg, dataset.n, result, nres), out / "fit_summary.json")
     for label, res in (("outcome_model", result), ("naive outcome_model", nres)):
         if res is not None:
@@ -147,6 +158,7 @@ def cmd_drf(cfg):
     io_mod.write_json(_fit_summary(cfg, dataset.n, result, nres), out / "fit_summary.json")
 
     drfs = [res.drf for res in (result, nres) if res is not None]
+    _log_support(drfs[0], dataset)
     for i, drf in enumerate(drfs):
         _log_flagged(drf)
         stem = "drf" if i == 0 else "naive"
@@ -201,6 +213,7 @@ def cmd_simulate(cfg):
     )
     drf = jps.run_jps(dataset, config).drf
     naive = jps.run_naive(dataset, config).drf
+    _log_support(drf, dataset)
     for est in (drf, naive):
         _log_flagged(est)
     oracle = synth.oracle_drf(scenario, drf.z_grid, drf.g_grid, m=cfg.oracle_m)

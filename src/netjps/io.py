@@ -12,8 +12,9 @@ import dataclasses
 import json
 import math
 import os
+import stat
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -29,6 +30,9 @@ EDGE_COLUMNS = ("source", "target", "period", "weight")
 # the oldest generation and the full collections that rescanned them cost a
 # quarter of the read time.
 _BLOCK_ROWS = 512
+
+# Bytes read at a time when counting a file's line breaks.
+_CHUNK_BYTES = 1 << 16
 
 
 def _header(reader, path):
@@ -58,67 +62,42 @@ def _rescan(path, check):
             check(reader.line_num, row)
 
 
-class _Columns:
-    """Equally long columns stored as consecutive segments of one buffer,
-    the float64 ones first so that every segment stays aligned.  The
-    buffer is allocated once for an estimate of the rows, grown in place (a
-    realloc) if the estimate falls short, and cut in place to the rows
-    filled.  One buffer is one allocation to make and to free: on glibc,
+def _row_bound(path):
+    """An upper bound on the rows of the CSV file at ``path``: its line
+    breaks plus one.  A row ends in an LF, a CRLF or a lone CR, and UTF-8
+    uses bytes 10 and 13 for nothing else.  Only a regular file is read,
+    since the reader reads it more than once."""
+    with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise InputError(f"{path}: not a regular file")
+        breaks, cr_end = 0, False
+        for chunk in iter(partial(fh.read, _CHUNK_BYTES), b""):
+            codes = np.frombuffer(chunk, np.uint8)
+            lf = codes == 10
+            # a CRLF is one break, also where a chunk edge splits it
+            breaks += np.count_nonzero(lf) - (cr_end and chunk[0] == 10)
+            if 13 in chunk:
+                cr = codes == 13
+                breaks += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:])
+            cr_end = chunk[-1] == 13
+    return int(breaks) + 1
+
+
+def _columns(dtypes, rows):
+    """Equally long columns of ``rows`` rows, stored as consecutive segments
+    of one buffer, the float64 ones first so that every segment stays
+    aligned.  One buffer is one allocation to make and to free: on glibc,
     freeing an edge table's single block lifts the mmap threshold above the
     estimator's per-run arrays, which then reuse heap pages instead of
     faulting in fresh ones on every fit."""
-
-    def __init__(self, dtypes, capacity):
-        self.dtypes = [np.dtype(dtype) for dtype in dtypes]
-        self.order = sorted(range(len(dtypes)), key=lambda j: -self.dtypes[j].itemsize)
-        self.buffer = np.empty(0, dtype=np.uint8)
-        self.capacity = self.filled = 0
-        self._reshape(capacity)
-
-    def _starts(self, rows):
-        """Byte offset of each segment (in storage order) and the end."""
-        return list(accumulate((self.dtypes[j].itemsize * rows for j in self.order), initial=0))
-
-    def _reshape(self, capacity):
-        """Move the filled part of each segment to its place for
-        ``capacity`` rows (the last segment first when growing, the first
-        when cutting, so that none overwrites one still to move), then view
-        the segments as ``columns``."""
-        self.columns = None  # views of the buffer die before it is resized
-        old, new = self._starts(self.capacity), self._starts(capacity)
-        grow = capacity > self.capacity
-        if grow:
-            self.buffer.resize(new[-1], refcheck=False)
-        moves = range(len(self.order))
-        for k in (reversed(moves) if grow else moves):
-            size = self.dtypes[self.order[k]].itemsize * self.filled
-            self.buffer[new[k]:new[k] + size] = self.buffer[old[k]:old[k] + size]
-        if not grow:
-            self.buffer.resize(new[-1], refcheck=False)
-        self.capacity = capacity
-        self.columns = [None] * len(self.order)
-        for k, j in enumerate(self.order):
-            self.columns[j] = self.buffer[new[k]:new[k + 1]].view(self.dtypes[j])
-
-    def append(self, parts):
-        start, end = self.filled, self.filled + len(parts[0])
-        if end > self.capacity:
-            self._reshape(max(end, self.capacity + self.capacity // 4))
-        for column, part in zip(self.columns, parts):
-            column[start:end] = part
-        self.filled = end
-
-    def cut(self):
-        self._reshape(self.filled)
-        return self.columns
-
-
-def _estimate_rows(fh, block, width):
-    """Rows in the file, from its size over the mean length of ``block``
-    (its first rows): a row's bytes are at least its characters, its commas
-    and its newline."""
-    chars = sum(map(len, chain.from_iterable(block))) + width * len(block)
-    return os.fstat(fh.fileno()).st_size * len(block) // max(chars, 1) + _BLOCK_ROWS
+    dtypes = [np.dtype(dtype) for dtype in dtypes]
+    order = sorted(range(len(dtypes)), key=lambda j: -dtypes[j].itemsize)
+    starts = list(accumulate((dtypes[j].itemsize * rows for j in order), initial=0))
+    buffer = np.empty(starts[-1], dtype=np.uint8)
+    columns = [None] * len(dtypes)
+    for k, j in enumerate(order):
+        columns[j] = buffer[starts[k]:starts[k + 1]].view(dtypes[j])
+    return columns
 
 
 def _read_columns(path, layout):
@@ -130,9 +109,10 @@ def _read_columns(path, layout):
     (in order of first appearance) and int32 code array, and ``{name:
     float64 array}``.  Each block's label cells are coded and all its numeric
     cells parsed in one numpy call (which parses a str as ``float()`` does),
-    then copied into columns preallocated for the whole file
-    (:func:`_estimate_rows`), so no per-block part is kept and none is
-    concatenated.
+    then copied into columns allocated once for the file's counted line
+    breaks (:func:`_row_bound`), so no per-block part is kept and none is
+    concatenated.  A file with more rows than its bound changed while it
+    was read, and is rejected.
 
     Errors come in the order of a whole-file read.  Blank lines are skipped
     and every other row must be as wide as the header; then the header must
@@ -141,6 +121,7 @@ def _read_columns(path, layout):
     the file is still width-checked, and only then is the file scanned again
     for its first bad cell in row-major order.
     """
+    bound = _row_bound(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = _header(reader, path)
@@ -151,17 +132,17 @@ def _read_columns(path, layout):
         except InputError as exc:
             error = exc
         failed = error is not None
+        if not failed:
+            labels = [{} for _ in label_cols]
+            columns = _columns([np.int32] * len(labels) + [float] * len(numeric), bound)
+        filled = 0
         rows = filter(None, reader)
-        columns = None
-        last = False
-        while not last:
-            block = list(islice(rows, _BLOCK_ROWS))
-            last = len(block) < _BLOCK_ROWS
+        for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
             if set(map(len, block)) - {width}:
                 _rescan(path, partial(_check_width, path, width))
             if failed:
                 continue
-            cells = list(zip(*block)) or [()] * width
+            cells = list(zip(*block))
             try:
                 values = np.array([cells[j] for j, _ in numeric], dtype=float)
                 failed = not np.isfinite(values).all()
@@ -169,18 +150,20 @@ def _read_columns(path, layout):
                 failed = True
             if failed:
                 continue
-            if columns is None:
-                labels = [{} for _ in label_cols]
-                capacity = len(block) if last else _estimate_rows(fh, block, width)
-                columns = _Columns([np.int32] * len(labels) + [float] * len(numeric), capacity)
-            columns.append([*map(code_labels, labels, (cells[j] for j in label_cols)), *values])
+            end = filled + len(block)
+            if end > bound:
+                raise InputError(f"{path}: the file changed while it was read")
+            parts = [*map(code_labels, labels, (cells[j] for j in label_cols)), *values]
+            for column, part in zip(columns, parts):
+                column[filled:end] = part
+            filled = end
     if error is not None:
         raise error
     if failed:
         _rescan(path, partial(_check_numbers, path, numeric))
-    arrays = columns.cut()
-    numbers = dict(zip((name for _, name in numeric), arrays[len(labels):]))
-    return labels, arrays[:len(labels)], numbers
+    columns = [column[:filled] for column in columns]
+    numbers = dict(zip((name for _, name in numeric), columns[len(labels):]))
+    return labels, columns[:len(labels)], numbers
 
 
 def _check_width(path, width, line_num, row):

@@ -23,7 +23,6 @@ unit and cell.  Every contraction over units is a set of BLAS dot products
 in one fixed order whatever the BLAS thread count.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -41,8 +40,6 @@ from .linear_model import (
     powers,
 )
 from .transforms import BoxCoxFit, boxcox_apply, boxcox_zero_skew
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -78,14 +75,7 @@ class GridPolicy:
             raise InputError(f"empty {label} grid")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise InputError(f"{label} grid must be strictly increasing")
-        if outside_support(grid, obs):
-            self._outside(label, grid, obs)
         return grid
-
-    def _outside(self, label, grid, obs):
-        """Report a grid that reaches outside the observed values."""
-        logger.warning("%s grid [%g, %g] extends outside the observed support [%g, %g]",
-                       label, grid[0], grid[-1], np.min(obs), np.max(obs))
 
 
 def outside_support(grid, obs):

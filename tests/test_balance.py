@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,18 @@ class TestBalanceCheck:
         report = balance_check(ds, gps, wrong)
         assert report.step1.lr_stat >= 0 and report.step2.lr_stat >= 0
         assert set(report.step1.dropped_columns) == {"phi", "phi^2", "phi^3"}
+
+    def test_shrinkage_drops_are_logged_once(self, caplog):
+        # constant scores make the same score columns singular in every
+        # covariate's shrinkage fit: the drop is logged once, not per covariate
+        ds, gps, _ = _fitted(scenario_strong_confounding, 6)
+        wrong = PropensityScores(phi=np.full(ds.n, 0.4), lam=np.full(ds.n, 0.4))
+        with caplog.at_level(logging.WARNING, logger="netjps"):
+            report = balance_check(ds, gps, wrong)
+        lines = [r.getMessage() for r in caplog.records if "shrinkage" in r.getMessage()]
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("balance shrinkage: dropped singular columns [")
+        assert set(report.shrinkage) == set(gps.x_z) | set(gps.x_g)
 
     def test_zero_covariates_skip_with_marker(self):
         sc = scenario_null(3)

@@ -446,6 +446,22 @@ class TestCommands:
                            "1 non-finite marginal_z entries flagged",  # joint
                            "1 non-finite marginal_z entries flagged"]  # naive
 
+    @pytest.mark.parametrize("command", ["drf", "fit", "simulate"])
+    def test_grid_outside_the_support_is_logged_once(self, simulated, tmp_path, caplog, command):
+        # the joint and naive estimators share the z grid, and the
+        # bootstrap's replicates log a count of their own
+        if command == "simulate":
+            text = SIM_CONFIG.format(out=tmp_path / "o")
+        else:
+            text = RUN_CONFIG.format(panel=simulated / "panel.csv", edges=simulated / "edges.csv",
+                                     out=tmp_path / "o", variant="both", b=4)
+        runfile = write(tmp_path / "run.cfg", text + "grid.z_values = 1.0, 1e103\n")
+        with caplog.at_level(logging.WARNING), np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, "--config", runfile]) == 0
+        lines = [r.getMessage() for r in caplog.records if "observed support" in r.getMessage()]
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("z grid [1, 1e+103] extends outside the observed support [")
+
     def test_drf_runs_each_pipeline_once_outside_the_bootstrap(self, simulated, tmp_path,
                                                                 monkeypatch):
         from netjps import bootstrap as bootstrap_mod

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from netjps import io as netjps_io
 from netjps.dataset import PanelDataset, attach_exposure, check_unique_keys
 from netjps.errors import InputError, UnboundColumnError
 from netjps.io import (
+    EDGE_COLUMNS,
     read_edges_csv,
     read_panel_csv,
     write_edges_csv,
@@ -182,6 +184,28 @@ LAST_ROW_ERRORS = [
 ]
 
 
+LONG_FIRST_LABELS = ([("x" * 300 + str(k), "b", "1", float(k)) for k in range(2)]
+                     + [(f"a{k}", f"c{k % 7}", str(k % 3), k / 4) for k in range(200)])
+
+
+def _long_first_labels_file(tmp_path):
+    """An edge file whose first two rows are far longer than the rest."""
+    p = tmp_path / "edges.csv"
+    p.write_text(EDGE_HEADER + "".join(f"{s},{t},{q},{w!r}\n" for s, t, q, w in LONG_FIRST_LABELS))
+    return p
+
+
+def _assert_reads_as_records(p):
+    # the row bound counts line breaks, so it never falls short of the rows
+    assert netjps_io._row_bound(p) >= len(LONG_FIRST_LABELS) + 1
+    table, want = read_edges_csv(p), EdgeTable.from_records(LONG_FIRST_LABELS)
+    assert len(table) == len(LONG_FIRST_LABELS)
+    assert (table.units, table.periods) == (want.units, want.periods)
+    for name in ("source", "target", "period", "weight"):
+        a, b = getattr(table, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestEdgeIngest:
     def test_blank_lines_and_quoted_labels(self, tmp_path):
         p = tmp_path / "edges.csv"
@@ -193,34 +217,9 @@ class TestEdgeIngest:
         adj = build_adjacency(edges, [("a,1", "1"), ("b", "1")])
         assert scipy_csr(adj.block("1").w).toarray().tolist() == [[0.0, 3.5], [2.0, 0.0]]
 
-    def test_columns_grow_past_a_short_estimate(self, tmp_path, monkeypatch):
-        # the first block's long labels make the file look like fewer rows
-        records = [("x" * 300 + str(k), "b", "1", float(k)) for k in range(2)]
-        records += [(f"a{k}", f"c{k % 7}", str(k % 3), k / 4) for k in range(200)]
-        p = tmp_path / "edges.csv"
-        p.write_text(EDGE_HEADER + "".join(f"{s},{t},{q},{w!r}\n" for s, t, q, w in records))
-        estimates, original = [], netjps_io._estimate_rows
-
-        def estimate(*args):
-            estimates.append(original(*args))
-            return estimates[-1]
-
-        monkeypatch.setattr(netjps_io, "_BLOCK_ROWS", 2)
-        monkeypatch.setattr(netjps_io, "_estimate_rows", estimate)
-        table, want = read_edges_csv(p), EdgeTable.from_records(records)
-        assert estimates and estimates[0] < len(records) == len(table)
-        assert (table.units, table.periods) == (want.units, want.periods)
-        for name in ("source", "target", "period", "weight"):
-            a, b = getattr(table, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-    @pytest.mark.parametrize("last_row, message", LAST_ROW_ERRORS)
-    def test_errors_name_the_file_line(self, tmp_path, last_row, message):
-        # line numbers count blank lines and the lines inside quoted cells
-        p = tmp_path / "edges.csv"
-        p.write_text(EDGE_HEADER + '\n"a\nb",c,1,2.0\n' + last_row + "\n")
-        with pytest.raises(InputError, match=f"^{p}: {message}$"):
-            read_edges_csv(p)
+    def test_columns_grow_past_a_short_estimate(self, tmp_path):
+        # the same file as in TestBlockStreaming, read at the default block size
+        _assert_reads_as_records(_long_first_labels_file(tmp_path))
 
     def test_len_is_edge_rows(self, tmp_path):
         p = tmp_path / "edges.csv"
@@ -253,10 +252,10 @@ class TestEdgeIngest:
                 assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
-@pytest.fixture(params=[1, 2, 3])
+@pytest.fixture(params=[1, 2, 3, netjps_io._BLOCK_ROWS])
 def block_rows(request, monkeypatch):
     """Read CSVs a few rows at a time, so that block boundaries fall between
-    any two rows of a small file."""
+    any two rows of a small file, and at the default block size."""
     monkeypatch.setattr(netjps_io, "_BLOCK_ROWS", request.param)
     return request.param
 
@@ -288,28 +287,15 @@ class TestBlockStreaming:
         assert whole_panel[0].tolist() == ["a\nb", "c", "a", "a\nb", "c"]
 
     def test_columns_grow_past_a_short_estimate(self, tmp_path, monkeypatch):
-        # the first block's long labels make the file look like fewer rows
-        records = [("x" * 300 + str(k), "b", "1", float(k)) for k in range(2)]
-        records += [(f"a{k}", f"c{k % 7}", str(k % 3), k / 4) for k in range(200)]
-        p = tmp_path / "edges.csv"
-        p.write_text(EDGE_HEADER + "".join(f"{s},{t},{q},{w!r}\n" for s, t, q, w in records))
-        estimates, original = [], netjps_io._estimate_rows
-
-        def estimate(*args):
-            estimates.append(original(*args))
-            return estimates[-1]
-
+        # the first block's long labels would make a size-based estimate of
+        # the rows fall short; read two rows at a time, the table is whole
+        p = _long_first_labels_file(tmp_path)
         monkeypatch.setattr(netjps_io, "_BLOCK_ROWS", 2)
-        monkeypatch.setattr(netjps_io, "_estimate_rows", estimate)
-        table, want = read_edges_csv(p), EdgeTable.from_records(records)
-        assert estimates and estimates[0] < len(records) == len(table)
-        assert (table.units, table.periods) == (want.units, want.periods)
-        for name in ("source", "target", "period", "weight"):
-            a, b = getattr(table, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        _assert_reads_as_records(p)
 
     @pytest.mark.parametrize("last_row, message", LAST_ROW_ERRORS)
     def test_errors_name_the_file_line(self, tmp_path, block_rows, last_row, message):
+        # line numbers count blank lines and the lines inside quoted cells
         p = tmp_path / "edges.csv"
         p.write_text(EDGE_HEADER + '\n"a\nb",c,1,2.0\n' + last_row + "\n")
         with pytest.raises(InputError, match=f"^{p}: {message}$"):
@@ -348,6 +334,80 @@ class TestBlockStreaming:
         assert table.weight.dtype == np.float64
         empty = EdgeTable.from_records([])
         assert len(empty) == 0 and empty.source.dtype == np.int32
+
+
+EDGE_ROWS = ['"a\nb",c,1,2.0', "c,d,2,1.5", 'd,"a\r\nb",1,0.25', "e,c,2,3.0", "c,e,1,1e-3"]
+
+
+def _edge_text(breaks, blank=False):
+    """The edge rows, each ended by the next of ``breaks`` (cycled), with a
+    blank line after every other row if ``blank``."""
+    lines = [EDGE_HEADER.rstrip("\n")]
+    for k, row in enumerate(EDGE_ROWS):
+        lines += [row, ""] if blank and k % 2 else [row]
+    return "".join(line + breaks[k % len(breaks)] for k, line in enumerate(lines))
+
+
+def _edge_bytes(table):
+    return (table.units, table.periods,
+            *((getattr(table, n).dtype, getattr(table, n).tobytes()) for n in EDGE_COLUMNS))
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("breaks", [["\r\n"], ["\r"], ["\n", "\r\n", "\r"]],
+                             ids=["crlf", "cr", "mixed"])
+    @pytest.mark.parametrize("blank", [False, True], ids=["rows", "blank-lines"])
+    def test_every_line_ending_reads_as_its_lf_twin(self, tmp_path, block_rows, breaks, blank):
+        # the rows hold quoted LF and CRLF breaks, which stay in the labels
+        lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+        lf.write_bytes(_edge_text(["\n"], blank).encode())
+        other.write_bytes(_edge_text(breaks, blank).encode())
+        table = read_edges_csv(other)
+        assert _edge_bytes(table) == _edge_bytes(read_edges_csv(lf))
+        assert table.units == ("a\nb", "c", "d", "e", "a\r\nb")
+        text = other.read_bytes()
+        breaks_counted = text.count(b"\n") + text.count(b"\r") - text.count(b"\r\n")
+        assert netjps_io._row_bound(other) == breaks_counted + 1 > len(table) + 1
+
+    @pytest.mark.parametrize("rest", [b"\nb\n", b"b\n", b"\r\n"], ids=["crlf", "cr", "cr-crlf"])
+    def test_a_break_at_the_chunk_edge_is_counted_once(self, tmp_path, rest):
+        # the chunk's last byte is a CR; what follows it begins the next chunk
+        p = tmp_path / "edge.csv"
+        p.write_bytes(b"a" * (netjps_io._CHUNK_BYTES - 1) + b"\r" + rest)
+        assert netjps_io._row_bound(p) == 3
+
+    def test_a_split_crlf_file_reads_as_its_lf_twin(self, tmp_path):
+        # a CRLF row end split by the chunk edge, in a table that reads it
+        first = "a,b,1,"
+        weight = "1." + "0" * (netjps_io._CHUNK_BYTES - len(EDGE_HEADER) - len(first) - 3)
+        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        crlf.write_bytes(f"{EDGE_HEADER}{first}{weight}\r\nb,a,1,2.0\r\n".encode())
+        lf.write_bytes(f"{EDGE_HEADER}{first}{weight}\nb,a,1,2.0\n".encode())
+        assert crlf.read_bytes()[netjps_io._CHUNK_BYTES - 1:][:2] == b"\r\n"
+        assert netjps_io._row_bound(crlf) == 4
+        assert _edge_bytes(read_edges_csv(crlf)) == _edge_bytes(read_edges_csv(lf))
+
+    def test_more_rows_than_the_bound_is_a_changed_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "edges.csv"
+        p.write_text(EDGE_HEADER + "a,b,1,1.0\nb,a,1,2.0\nc,a,1,3.0\n")
+        monkeypatch.setattr(netjps_io, "_row_bound", lambda path: 2)
+        with pytest.raises(InputError, match=f"^{p}: the file changed while it was read$"):
+            read_edges_csv(p)
+
+    def test_only_regular_files_are_read(self, tmp_path):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, (EDGE_HEADER + "a,b,1,1.0\n").encode())
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            with pytest.raises(InputError, match=f"^{path}: not a regular file$"):
+                read_edges_csv(path)
+            with pytest.raises(InputError, match="not a regular file"):
+                read_panel_csv(path, "unit", "period")
+        finally:
+            os.close(read_end)
+        with pytest.raises(FileNotFoundError):
+            read_edges_csv(tmp_path / "missing.csv")
 
 
 class TestCsvWriterBytes:
