@@ -10,7 +10,6 @@ from .jps import (
     GpsFit,
     GridPolicy,
     JpsConfig,
-    OutcomeFit,
     PropensityScores,
     effects,
     fit_outcome,

@@ -67,7 +67,8 @@ def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
     (``g_grid`` None) selects the no-interference pipeline.  Failed
     replicates (singular designs, degenerate transforms) are dropped and
     counted; more than 20% failures aborts with diagnostics.  Replicates
-    whose resampled values the grid reaches outside are logged as one count.
+    whose resampled values the grid reaches outside are logged as one count
+    that names the estimator.
     """
     if b < 2:
         raise InputError("bootstrap needs B >= 2 replicates")
@@ -103,8 +104,8 @@ def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
             mgs.append(rep.drf.marginal_g)
 
     if outside:
-        logger.warning("the grid extends outside the resampled support in %d of %d replicates",
-                       outside, b)
+        logger.warning("%s estimator: the grid extends outside the resampled support "
+                       "in %d of %d replicates", point.estimator, outside, b)
     failures = len(failure_log)
     if failures > _MAX_FAILURE_FRACTION * b:
         detail = "; ".join(f"replicate {r}: [{code}] {msg}" for r, code, msg in failure_log[:5])

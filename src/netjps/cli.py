@@ -53,7 +53,7 @@ def _load_dataset(cfg):
     for name in (*c.x_z, *c.x_g):
         if name not in dataset.covariates:
             raise UnboundColumnError(f"bound covariate {name!r} not found in the panel")
-    return dataset, adj
+    return dataset
 
 
 def _jps_config(cfg):
@@ -71,14 +71,16 @@ def _outdir(cfg):
 
 def _log_flagged(drf):
     """Log the counts of a point estimate's flagged surface cells and
-    marginal entries, once per run; its replicates' flags are the NaN
-    cells of the bands."""
+    marginal entries, once per run and estimator; its replicates' flags are
+    the NaN cells of the bands."""
     if drf.meta["flagged_cells"]:
-        logger.warning("%d non-finite surface cells flagged", len(drf.meta["flagged_cells"]))
+        logger.warning("%s estimator: %d non-finite surface cells flagged",
+                       drf.estimator, len(drf.meta["flagged_cells"]))
     for name in ("marginal_z", "marginal_g"):
         curve = getattr(drf, name)
         if curve is not None and np.isnan(curve).any():
-            logger.warning("%d non-finite %s entries flagged", np.isnan(curve).sum(), name)
+            logger.warning("%s estimator: %d non-finite %s entries flagged",
+                           drf.estimator, np.isnan(curve).sum(), name)
 
 
 def _log_support(drf, dataset):
@@ -92,7 +94,7 @@ def _log_support(drf, dataset):
 
 
 def cmd_exposure(cfg):
-    dataset, _ = _load_dataset(cfg)
+    dataset = _load_dataset(cfg)
     out = _outdir(cfg)
     io_mod.write_exposure_csv(dataset, out / "exposure.csv",
                               unit_col=cfg.columns.unit, period_col=cfg.columns.period)
@@ -118,25 +120,25 @@ def _fit_summary(cfg, n, result, nres):
             "individual": io_mod.linear_fit_payload(result.gps.z_model),
             "neighborhood": io_mod.linear_fit_payload(result.gps.g_model),
         }
-        summary["outcome_model"] = io_mod.linear_fit_payload(result.outcome.fit)
+        summary["outcome_model"] = io_mod.linear_fit_payload(result.outcome)
     if nres is not None:
         summary["naive"] = {
             "boxcox": {"k": nres.boxcox.k, "skewness": nres.boxcox.skewness},
             "individual_model": io_mod.linear_fit_payload(nres.z_model),
-            "outcome_model": io_mod.linear_fit_payload(nres.outcome.fit),
+            "outcome_model": io_mod.linear_fit_payload(nres.outcome),
         }
     return summary
 
 
 def cmd_fit(cfg):
-    dataset, _ = _load_dataset(cfg)
+    dataset = _load_dataset(cfg)
     out = _outdir(cfg)
     result, nres = _run_variants(cfg, _jps_config(cfg), dataset)
     _log_support((result or nres).drf, dataset)
     io_mod.write_json(_fit_summary(cfg, dataset.n, result, nres), out / "fit_summary.json")
     for label, res in (("outcome_model", result), ("naive outcome_model", nres)):
         if res is not None:
-            fit = res.outcome.fit
+            fit = res.outcome
             print(f"{label} ({len(fit.names)} terms)")
             for t, b in zip(fit.names, fit.theta):
                 print(f"  {t:<12} {b: .6g}")
@@ -151,7 +153,7 @@ def cmd_drf(cfg):
     ``drf.json``, ``effects.json`` and ``drf_*.csv``; the naive estimator
     run beside it writes ``naive_drf.json`` and ``naive_marginal_z.csv``.
     """
-    dataset, _ = _load_dataset(cfg)
+    dataset = _load_dataset(cfg)
     out = _outdir(cfg)
     config = _jps_config(cfg)
     result, nres = _run_variants(cfg, config, dataset)
@@ -182,7 +184,7 @@ def cmd_drf(cfg):
 
 
 def cmd_balance(cfg):
-    dataset, _ = _load_dataset(cfg)
+    dataset = _load_dataset(cfg)
     out = _outdir(cfg)
     config = _jps_config(cfg)
     gps = jps.fit_treatment_models(dataset, config)

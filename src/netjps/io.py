@@ -66,10 +66,11 @@ def _row_bound(path):
     """An upper bound on the rows of the CSV file at ``path``: its line
     breaks plus one.  A row ends in an LF, a CRLF or a lone CR, and UTF-8
     uses bytes 10 and 13 for nothing else.  Only a regular file is read,
-    since the reader reads it more than once."""
+    since the reader reads it more than once; its type is checked before
+    the open, which fails on a directory."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise InputError(f"{path}: not a regular file")
     with open(path, "rb") as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raise InputError(f"{path}: not a regular file")
         breaks, cr_end = 0, False
         for chunk in iter(partial(fh.read, _CHUNK_BYTES), b""):
             codes = np.frombuffer(chunk, np.uint8)

@@ -103,19 +103,16 @@ class GpsFit:
     boxcox: BoxCoxFit
     z_model: LinearFit
     g_model: LinearFit
-    x_z: tuple
-    x_g: tuple
 
-    def __post_init__(self):
-        if self.g_model.names != ("const", *self.x_g, "z"):
-            raise InputError(
-                "neighborhood-treatment design must be (const, *x_g, z); "
-                f"got {self.g_model.names}"
-            )
-        if self.z_model.names != ("const", *self.x_z):
-            raise InputError(
-                f"individual-treatment design must be (const, *x_z); got {self.z_model.names}"
-            )
+    @property
+    def x_z(self):
+        """The individual-treatment covariates: the Z*-design is (const, *x_z)."""
+        return self.z_model.names[1:]
+
+    @property
+    def x_g(self):
+        """The neighborhood-treatment covariates: the G-design is (const, *x_g, z)."""
+        return self.g_model.names[1:-1]
 
 
 @dataclass(frozen=True)
@@ -137,12 +134,6 @@ class PropensityScores:
             arr = np.asarray(arr, dtype=float)
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
                 raise DomainError(f"{label} propensity scores must be positive and finite")
-
-
-@dataclass(frozen=True)
-class OutcomeFit:
-    fit: LinearFit
-    variant: str
 
 
 @dataclass
@@ -179,6 +170,11 @@ class DrfGrid:
             curve = getattr(self, name)
             if curve is not None and not np.all(np.isfinite(curve)):
                 setattr(self, name, np.where(np.isfinite(curve), curve, np.nan))
+
+    @property
+    def estimator(self):
+        """"joint", or "naive" for a z-only grid: the name a log line gives."""
+        return "joint" if self.g_grid is not None else "naive"
 
 
 def finite_argmax(values):
@@ -227,8 +223,7 @@ def fit_treatment_models(dataset, config):
     bc, z_model = _fit_z_model(dataset, config.x_z)
     xg, names_g = _design(dataset, config.x_g)
     g_model = fit_ols(np.column_stack([xg, dataset.z]), g, names=(*names_g, "z"))
-    return GpsFit(boxcox=bc, z_model=z_model, g_model=g_model,
-                  x_z=tuple(config.x_z), x_g=tuple(config.x_g))
+    return GpsFit(boxcox=bc, z_model=z_model, g_model=g_model)
 
 
 def _score_parts(gps, dataset):
@@ -256,11 +251,10 @@ def predict_scores(gps, dataset):
     return PropensityScores(phi=phi, lam=lam, mean_zstar=mean_zstar, base_g=base_g)
 
 
-def fit_outcome(dataset, scores, variant="with_interference"):
+def fit_outcome(dataset, scores):
     """Stage 3: polynomial outcome model on treatments and scores."""
-    x, names = build_outcome_matrix(dataset.z, dataset.g, scores.phi, scores.lam, variant)
-    fit = fit_ols(x, dataset.y, names=names)
-    return OutcomeFit(fit=fit, variant=variant)
+    x, names = build_outcome_matrix(dataset.z, dataset.require_g(), scores.phi, scores.lam)
+    return fit_ols(x, dataset.y, names=names)
 
 
 # Units per block of every unit sum in grid imputation.  It also bounds the
@@ -401,7 +395,7 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers):
     return sums / _peak_powers(sigma)[:, None, None] / b_sorted.size
 
 
-def impute_drf(gps, scores, outcome, dataset, grid=None):
+def impute_drf(gps, scores, outcome, dataset, grid):
     """Stages 4-5: counterfactual scores, per-unit imputation, unit averages.
 
     For every grid pair (z, g) each unit's scores are re-evaluated at that
@@ -428,13 +422,12 @@ def impute_drf(gps, scores, outcome, dataset, grid=None):
     """
     if scores.mean_zstar is None or scores.base_g is None or scores.base_g.size != dataset.n:
         raise InputError("imputation needs the scores that predict_scores gives on this dataset")
-    grid = grid or GridPolicy()
     g_obs = dataset.require_g()
     z_grid, g_grid = grid.resolve(dataset.z, g_obs)
     mean_zstar, base_g, beta_gz = scores.mean_zstar, scores.base_g, gps.g_model.coef("z")
     sigma_z, sigma_g = gps.z_model.sigma, gps.g_model.sigma
     n, nz, ng = dataset.n, z_grid.size, g_grid.size
-    theta, variant = outcome.fit.theta, outcome.variant
+    theta = outcome.theta
 
     z_buffers, g_buffers = _block_buffers(nz, n), _block_buffers(ng, n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -444,14 +437,14 @@ def impute_drf(gps, scores, outcome, dataset, grid=None):
         lam_g = _density_means(g_grid, base_g + beta_gz * dataset.z, sigma_g, g_buffers)
         lam = _lambda_means(z_grid, g_grid, base_g, beta_gz, sigma_g, z_buffers, g_buffers)
         surface = outcome_value(theta, outcome_terms(
-            powers(z_grid[:, None]), powers(g_grid), tuple(phi[:, :, None]), tuple(lam), variant))
+            powers(z_grid[:, None]), powers(g_grid), tuple(phi[:, :, None]), tuple(lam)))
         g_means = tuple(t.mean() for t in powers(g_obs))
         marginal_z = outcome_value(theta, outcome_terms(
-            powers(z_grid), g_means, tuple(phi), tuple(lam_z[:3]), variant, g_lam=lam_z[3]))
+            powers(z_grid), g_means, tuple(phi), tuple(lam_z[:3]), g_lam=lam_z[3]))
         z_means = tuple(t.mean() for t in powers(dataset.z))
         phi_obs = tuple(t.mean() for t in powers(scores.phi))
         marginal_g = outcome_value(theta, outcome_terms(
-            z_means, powers(g_grid), phi_obs, tuple(lam_g), variant,
+            z_means, powers(g_grid), phi_obs, tuple(lam_g),
             z_phi=(dataset.z * scores.phi).mean()))
 
     flagged = [tuple(cell) for cell in np.argwhere(~np.isfinite(surface)).tolist()]
@@ -459,7 +452,7 @@ def impute_drf(gps, scores, outcome, dataset, grid=None):
         surface[~np.isfinite(surface)] = np.nan
     meta = {
         "n": n,
-        "variant": variant,
+        "variant": "with_interference",
         "grid": {"n_z": nz, "n_g": ng, "lower_pct": grid.lower_pct, "upper_pct": grid.upper_pct},
         "flagged_cells": flagged,
     }
@@ -532,7 +525,7 @@ def effects(drf, spec=ContrastSpec()):
 class JpsResult:
     gps: GpsFit
     scores: PropensityScores
-    outcome: OutcomeFit
+    outcome: LinearFit
     drf: DrfGrid
 
 
@@ -540,7 +533,7 @@ def run_jps(dataset, config):
     """Stages 1-5 in sequence."""
     gps = fit_treatment_models(dataset, config)
     scores = predict_scores(gps, dataset)
-    outcome = fit_outcome(dataset, scores, "with_interference")
+    outcome = fit_outcome(dataset, scores)
     drf = impute_drf(gps, scores, outcome, dataset, config.grid)
     return JpsResult(gps=gps, scores=scores, outcome=outcome, drf=drf)
 
@@ -549,7 +542,7 @@ def run_jps(dataset, config):
 class NaiveResult:
     boxcox: BoxCoxFit
     z_model: LinearFit
-    outcome: OutcomeFit
+    outcome: LinearFit
     drf: DrfGrid
 
 
@@ -562,15 +555,15 @@ def run_naive(dataset, config):
     bc, z_model = _fit_z_model(dataset, config.x_z)
     mean_zstar = _zstar_mean(z_model, dataset)
     phi_obs = normal_density(boxcox_apply(dataset.z, bc.k), mean_zstar, z_model.sigma)
-    x, names = build_outcome_matrix(dataset.z, None, phi_obs, None, "without_interference")
-    outcome = OutcomeFit(fit=fit_ols(x, dataset.y, names=names), variant="without_interference")
+    x, names = build_outcome_matrix(dataset.z, None, phi_obs, None)
+    outcome = fit_ols(x, dataset.y, names=names)
 
     z_grid, _ = config.grid.resolve(dataset.z)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _phi_means(z_grid, bc.k, mean_zstar, z_model.sigma,
                          _block_buffers(z_grid.size, dataset.n))
-        marginal_z = outcome_value(outcome.fit.theta, outcome_terms(
-            powers(z_grid), None, tuple(phi), None, outcome.variant))
+        marginal_z = outcome_value(outcome.theta, outcome_terms(
+            powers(z_grid), None, tuple(phi), None))
     drf = DrfGrid(
         z_grid=z_grid, g_grid=None, surface=None,
         marginal_z=marginal_z, marginal_g=None,

@@ -31,7 +31,6 @@ WITHOUT_INTERFERENCE_TERMS = (
     "phi", "phi^2", "phi^3", "z*phi",
     "const",
 )
-VARIANTS = ("with_interference", "without_interference")
 
 
 @dataclass(frozen=True)
@@ -150,38 +149,37 @@ def powers(x):
     return x, sq, sq * x
 
 
-def outcome_terms(z, g, phi, lam, variant, z_phi=None, g_lam=None):
-    """The outcome polynomial's terms, in the order of the variant's names.
+def outcome_terms(z, g, phi, lam, z_phi=None, g_lam=None):
+    """The outcome polynomial's terms, in the order of its names.
 
     ``z``, ``g``, ``phi`` and ``lam`` are the :func:`powers` of each
     treatment and score, per unit or as unit means.  A product term is the
     product of its factors' first powers, which is also its unit mean
     wherever one factor is the same for every unit; otherwise the caller
     passes the product's unit mean as ``z_phi`` or ``g_lam``.  theta . terms
-    is then the imputed outcome, or its unit average.  The
-    without_interference variant ignores ``g``, ``lam`` and ``g_lam``.
+    is then the imputed outcome, or its unit average.  With ``g`` None (no
+    exposure) the polynomial has no g or lambda terms, and ``lam`` and
+    ``g_lam`` are ignored.
     """
-    if variant not in VARIANTS:
-        raise InputError(f"unknown outcome variant {variant!r}")
     terms = [*z, *phi, z[0] * phi[0] if z_phi is None else z_phi]
-    if variant == "with_interference":
+    if g is not None:
         terms += [*g, *lam, g[0] * lam[0] if g_lam is None else g_lam, z[0] * g[0]]
     return [*terms, 1.0]
 
 
 def outcome_value(theta, terms):
     """theta . terms, summed in term order."""
-    return sum(t * term for t, term in zip(theta, terms))
+    return sum(t * term for t, term in zip(theta, terms, strict=True))
 
 
-def build_outcome_matrix(z, g, phi, lam, variant):
+def build_outcome_matrix(z, g, phi, lam):
     """Stacked outcome-model design rows for vector inputs (scalars
     broadcast): one column per :func:`outcome_terms` term, named by
-    ``WITH_INTERFERENCE_TERMS`` or ``WITHOUT_INTERFERENCE_TERMS``.  The
-    without_interference variant ignores ``g`` and ``lam`` (None allowed).
+    ``WITH_INTERFERENCE_TERMS``, or by ``WITHOUT_INTERFERENCE_TERMS`` when
+    ``g`` is None (``lam`` is then ignored).
     """
     inputs = {"z": z, "phi": phi}
-    if variant == "with_interference":
+    if g is not None:
         inputs.update({"g": g, "lambda": lam})
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in inputs.values()))
     for label, arr in zip(inputs, arrays):
@@ -189,6 +187,6 @@ def build_outcome_matrix(z, g, phi, lam, variant):
             raise InputError(f"non-finite {label} in outcome design")
     z, phi, *g_lam = arrays
     g_powers, lam_powers = (powers(g_lam[0]), powers(g_lam[1])) if g_lam else (None, None)
-    terms = outcome_terms(powers(z), g_powers, powers(phi), lam_powers, variant)
+    terms = outcome_terms(powers(z), g_powers, powers(phi), lam_powers)
     names = WITH_INTERFERENCE_TERMS if g_lam else WITHOUT_INTERFERENCE_TERMS
     return np.column_stack([np.broadcast_to(t, z.shape).ravel() for t in terms]), names

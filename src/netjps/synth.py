@@ -233,7 +233,7 @@ class OracleDrf:
         return finite_argmax(self.marginal_z)
 
 
-def oracle_drf(scenario, z_grid, g_grid, m=100_000, seed=None):
+def oracle_drf(scenario, z_grid, g_grid, m=100_000):
     """True aDRF on a grid.
 
     The surface is exact (the outcome rule is linear in centered covariates,
@@ -250,7 +250,7 @@ def oracle_drf(scenario, z_grid, g_grid, m=100_000, seed=None):
     for iz, zv in enumerate(z_grid):
         surface[iz, :] = scenario.outcome.base(zv, g_grid) + x_shift
 
-    base_seed = scenario.seed + _ORACLE_SEED_OFFSET if seed is None else seed
+    base_seed = scenario.seed + _ORACLE_SEED_OFFSET
     per_draw = scenario.n_units * scenario.n_periods
     draws = max(1, math.ceil(m / per_draw))
     g_pool, z_pool = [], []

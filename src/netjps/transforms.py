@@ -57,15 +57,12 @@ def _boxcox_from_log(logz, k):
 
 @dataclass(frozen=True)
 class BoxCoxFit:
-    """Fitted exponent with the achieved skewness and the sample minimum."""
+    """Fitted exponent with the achieved skewness."""
 
     k: float
     skewness: float
-    source_min: float
 
     def __post_init__(self):
-        if not self.source_min > 0:
-            raise DomainError("power transform domain requires source min > 0")
         if abs(self.skewness) > SKEW_POSTCONDITION:
             raise DomainError(
                 f"achieved skewness {self.skewness:.3e} exceeds {SKEW_POSTCONDITION:.0e}"
@@ -83,6 +80,8 @@ def boxcox_zero_skew(z):
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise DomainError("zero-skewness transform requires strictly positive finite values")
+    if np.ptp(z) == 0:
+        raise NoRootError("no zero-skewness root: the treatment has zero variance")
     # one log and one domain check per root, not per skewness evaluation
     logz = np.log(z)
 
@@ -141,5 +140,5 @@ def boxcox_zero_skew(z):
             kept = -1
 
     zstar = _boxcox_from_log(logz, k)
-    fit = BoxCoxFit(k=float(k), skewness=float(s_k), source_min=float(z.min()))
+    fit = BoxCoxFit(k=float(k), skewness=float(s_k))
     return fit, zstar

@@ -107,7 +107,7 @@ def loop_impute(theta, variant, dataset, k, z_model, x_z, z_grid,
         base_g, beta_gz, sigma_g = xg @ g_model.theta[:-1], g_model.theta[-1], g_model.sigma
 
     def cell(z, g, phi, lam):
-        x, _ = build_outcome_matrix(z, g, phi, lam, variant)
+        x, _ = build_outcome_matrix(z, g, phi, lam)
         return x @ theta
 
     nz = len(z_grid)
@@ -120,7 +120,7 @@ def loop_impute(theta, variant, dataset, k, z_model, x_z, z_grid,
     for iz, zv in enumerate(z_grid):
         phi_z = normal_density(boxcox_apply(zv, k), mean_zstar, z_model.sigma)
         if not with_g:
-            unit_mz[iz] = cell(zv, 0.0, phi_z, 1.0)
+            unit_mz[iz] = cell(zv, None, phi_z, None)
             continue
         gmean_z = base_g + beta_gz * zv
         for ig, gv in enumerate(g_grid):

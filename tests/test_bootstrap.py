@@ -118,7 +118,8 @@ class TestLogging:
             point = run_jps(ds, cfg).drf
             bootstrap_drf(ds, cfg, point, b=5, seed=1)
         lines = [r.getMessage() for r in caplog.records if "outside" in r.getMessage()]
-        assert lines == ["the grid extends outside the resampled support in 5 of 5 replicates"]
+        assert lines == ["joint estimator: the grid extends outside the resampled support "
+                         "in 5 of 5 replicates"]
 
 
 class TestFailureHandling:

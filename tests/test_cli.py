@@ -442,9 +442,20 @@ class TestCommands:
         with caplog.at_level(logging.WARNING), np.errstate(over="ignore", invalid="ignore"):
             assert main([command, "--config", runfile]) == 0
         flagged = [r.getMessage() for r in caplog.records if "flagged" in r.getMessage()]
-        assert flagged == ["6 non-finite surface cells flagged",
-                           "1 non-finite marginal_z entries flagged",  # joint
-                           "1 non-finite marginal_z entries flagged"]  # naive
+        assert flagged == ["joint estimator: 6 non-finite surface cells flagged",
+                           "joint estimator: 1 non-finite marginal_z entries flagged",
+                           "naive estimator: 1 non-finite marginal_z entries flagged"]
+
+    def test_resampled_support_is_logged_once_per_estimator(self, simulated, tmp_path, caplog):
+        runfile = write(tmp_path / "run.cfg", RUN_CONFIG.format(
+            panel=simulated / "panel.csv", edges=simulated / "edges.csv",
+            out=tmp_path / "o", variant="both", b=4,
+        ) + "grid.z_values = 1.0, 1e103\n")
+        with caplog.at_level(logging.WARNING), np.errstate(over="ignore", invalid="ignore"):
+            assert main(["drf", "--config", runfile]) == 0
+        lines = [r.getMessage() for r in caplog.records if "resampled support" in r.getMessage()]
+        assert lines == [f"{name} estimator: the grid extends outside the resampled support "
+                         "in 4 of 4 replicates" for name in ("joint", "naive")]
 
     @pytest.mark.parametrize("command", ["drf", "fit", "simulate"])
     def test_grid_outside_the_support_is_logged_once(self, simulated, tmp_path, caplog, command):
@@ -644,6 +655,23 @@ class TestErrorContract:
         ))
         assert main(["drf", "--config", runfile]) == 8
         assert json.loads(capsys.readouterr().err)["error"] == "degenerate-exposure"
+
+    def test_constant_treatment_exit_code(self, simulated, tmp_path, capsys):
+        panel = tmp_path / "constant.csv"
+        with open(simulated / "panel.csv") as fh:
+            rows = list(csv.reader(fh))
+        column = rows[0].index("z")
+        for row in rows[1:]:
+            row[column] = "2.5"
+        with open(panel, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        runfile = write(tmp_path / "run.cfg", RUN_CONFIG.format(
+            panel=panel, edges=simulated / "edges.csv", out=tmp_path / "o", variant="jps", b=0,
+        ))
+        assert main(["drf", "--config", runfile]) == 10
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "no-root",
+                       "message": "no zero-skewness root: the treatment has zero variance"}
 
     def test_degenerate_normalizer_exit_code(self, simulated, tmp_path, capsys):
         edges = tmp_path / "edges0.csv"

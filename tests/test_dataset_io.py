@@ -406,6 +406,10 @@ class TestLineBreaks:
                 read_panel_csv(path, "unit", "period")
         finally:
             os.close(read_end)
+        # opening a directory raises: its type is checked first
+        for read in (read_edges_csv, lambda p: read_panel_csv(p, "unit", "period")):
+            with pytest.raises(InputError, match=f"^{tmp_path}: not a regular file$"):
+                read(tmp_path)
         with pytest.raises(FileNotFoundError):
             read_edges_csv(tmp_path / "missing.csv")
 

@@ -17,7 +17,7 @@ from netjps.jps import (
     run_jps,
     run_naive,
 )
-from netjps.linear_model import build_outcome_matrix
+from netjps.linear_model import WITHOUT_INTERFERENCE_TERMS, build_outcome_matrix
 from netjps import jps, synth
 
 from oracles import dense_pipeline, loop_impute
@@ -141,30 +141,34 @@ class TestOutcomeFit:
         ds = make_dataset(seed=3)
         gps = fit_treatment_models(ds, config_for(ds))
         scores = predict_scores(gps, ds)
-        mat, _ = build_outcome_matrix(ds.z, ds.g, scores.phi, scores.lam, "with_interference")
+        mat, _ = build_outcome_matrix(ds.z, ds.g, scores.phi, scores.lam)
         theta = np.linspace(-1, 2, 16)
         ds2 = replace(ds, y=mat @ theta)
-        fit = fit_outcome(ds2, scores, "with_interference")
-        assert np.max(np.abs(fit.fit.theta - theta)) < 1e-8
+        fit = fit_outcome(ds2, scores)
+        assert np.max(np.abs(fit.theta - theta)) < 1e-8
 
     def test_without_variant_has_8_terms(self):
         ds = make_dataset(seed=3)
-        gps = fit_treatment_models(ds, config_for(ds))
-        scores = predict_scores(gps, ds)
-        fit = fit_outcome(ds, scores, "without_interference")
-        assert len(fit.fit.theta) == 8
-        assert "g" not in fit.fit.names and "lambda" not in fit.fit.names
+        fit = run_naive(ds, config_for(ds)).outcome
+        assert fit.names == WITHOUT_INTERFERENCE_TERMS
+        assert len(fit.theta) == 8
+
+    def test_requires_exposures(self):
+        ds = make_dataset(seed=3)
+        scores = predict_scores(fit_treatment_models(ds, config_for(ds)), ds)
+        with pytest.raises(InputError, match="attach_exposure"):
+            fit_outcome(replace(ds, g=None), scores)
 
     def test_permutation_invariance(self):
         ds = make_dataset(seed=13)
         gps = fit_treatment_models(ds, config_for(ds))
         scores = predict_scores(gps, ds)
-        fit1 = fit_outcome(ds, scores, "with_interference")
+        fit1 = fit_outcome(ds, scores)
         perm = np.random.default_rng(0).permutation(ds.n)
         ds_p = ds.subset(perm)
         scores_p = replace(scores, phi=scores.phi[perm], lam=scores.lam[perm])
-        fit2 = fit_outcome(ds_p, scores_p, "with_interference")
-        assert np.allclose(fit1.fit.theta, fit2.fit.theta, atol=1e-9)
+        fit2 = fit_outcome(ds_p, scores_p)
+        assert np.allclose(fit1.theta, fit2.theta, atol=1e-9)
 
 
 class TestImputeAndMarginals:
@@ -173,7 +177,7 @@ class TestImputeAndMarginals:
         res = run_jps(ds, config_for(ds))
         const_theta = np.zeros(16)
         const_theta[-1] = 4.25
-        outcome = replace(res.outcome, fit=replace(res.outcome.fit, theta=const_theta))
+        outcome = replace(res.outcome, theta=const_theta)
         drf = impute_drf(res.gps, res.scores, outcome, ds, GridPolicy(n_z=5, n_g=5))
         assert np.allclose(drf.surface, 4.25, atol=1e-12)
         assert np.allclose(drf.marginal_z, 4.25, atol=1e-12)
@@ -201,7 +205,7 @@ class TestImputeAndMarginals:
 
     @staticmethod
     def loop_oracle(res, cfg, ds):
-        return loop_impute(res.outcome.fit.theta, "with_interference", ds, res.gps.boxcox.k,
+        return loop_impute(res.outcome.theta, "with_interference", ds, res.gps.boxcox.k,
                            res.gps.z_model, cfg.x_z, res.drf.z_grid,
                            res.gps.g_model, cfg.x_g, res.drf.g_grid)
 
@@ -263,7 +267,7 @@ class TestImputeAndMarginals:
         ds = make_dataset(n=500, seed=83)
         cfg = config_for(ds, GridPolicy(n_z=7))
         res = run_naive(ds, cfg)
-        _, mz, mg = loop_impute(res.outcome.fit.theta, "without_interference", ds,
+        _, mz, mg = loop_impute(res.outcome.theta, "without_interference", ds,
                                 res.boxcox.k, res.z_model, cfg.x_z, res.drf.z_grid)
         assert mg is None
         assert np.max(np.abs(res.drf.marginal_z - mz)) < 1e-12 * max(1.0, np.max(np.abs(mz)))
@@ -336,7 +340,7 @@ class TestImputeAndMarginals:
         res = run_jps(ds, config_for(ds, GridPolicy(n_z=3, n_g=3)))
         assert len(calls) == 1
         with pytest.raises(InputError, match="predict_scores"):
-            impute_drf(res.gps, replace(res.scores, base_g=None), res.outcome, ds)
+            impute_drf(res.gps, replace(res.scores, base_g=None), res.outcome, ds, GridPolicy())
 
     def test_unit_block_bounds_single_threaded_blas_dot(self):
         # OpenBLAS runs a ddot of at most 10000 terms on one thread; np.vecdot

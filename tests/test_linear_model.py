@@ -106,19 +106,19 @@ class TestNormalDensity:
             normal_density(0.0, 0.0, sd)
 
 
-def outcome_row(z, g, phi, lam, variant):
+def outcome_row(z, g, phi, lam):
     """The design row of one scalar input set."""
-    return build_outcome_matrix(z, g, phi, lam, variant)[0][0]
+    return build_outcome_matrix(z, g, phi, lam)[0][0]
 
 
 class TestOutcomeRow:
     def test_zero_inputs(self):
-        row = outcome_row(0.0, 0.0, 0.0, 0.0, "with_interference")
+        row = outcome_row(0.0, 0.0, 0.0, 0.0)
         assert row[-1] == 1.0
         assert np.all(row[:-1] == 0.0)
 
     def test_hand_values(self):
-        row = outcome_row(1.0, 2.0, 0.0, 0.0, "with_interference")
+        row = outcome_row(1.0, 2.0, 0.0, 0.0)
         names = list(WITH_INTERFERENCE_TERMS)
         assert row[names.index("z*g")] == 2.0
         assert row[names.index("g^3")] == 8.0
@@ -127,28 +127,19 @@ class TestOutcomeRow:
     def test_term_counts(self):
         assert len(WITH_INTERFERENCE_TERMS) == 16
         assert len(WITHOUT_INTERFERENCE_TERMS) == 8
-        assert outcome_row(0.5, 0.5, 0.5, 0.5, "with_interference").shape == (16,)
-        assert outcome_row(0.5, 0.5, 0.5, 0.5, "without_interference").shape == (8,)
+        assert outcome_row(0.5, 0.5, 0.5, 0.5).shape == (16,)
+        assert outcome_row(0.5, None, 0.5, None).shape == (8,)
 
     def test_matrix_matches_rows(self):
         rng = np.random.default_rng(2)
         z, g, phi, lam = rng.normal(size=(4, 7))
-        mat, names = build_outcome_matrix(z, g, phi, lam, "with_interference")
+        mat, names = build_outcome_matrix(z, g, phi, lam)
         assert mat.shape == (7, 16)
         for i in range(7):
             assert np.array_equal(
-                mat[i], outcome_row(z[i], g[i], phi[i], lam[i], "with_interference")
+                mat[i], outcome_row(z[i], g[i], phi[i], lam[i])
             )
-
-    def test_without_variant_ignores_g_lambda(self):
-        mat1, _ = build_outcome_matrix(1.0, 5.0, 0.3, 9.0, "without_interference")
-        mat2, _ = build_outcome_matrix(1.0, -2.0, 0.3, 0.1, "without_interference")
-        assert np.array_equal(mat1, mat2)
-
-    def test_unknown_variant(self):
-        with pytest.raises(InputError):
-            outcome_row(0, 0, 0, 0, "sideways")
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
-            outcome_row(np.nan, 0, 0, 0, "with_interference")
+            outcome_row(np.nan, 0, 0, 0)

@@ -113,7 +113,6 @@ class TestZeroSkewFit:
             z = rng.gamma(rng.uniform(0.5, 5.0), size=300) + 0.05
             fit, zstar = boxcox_zero_skew(z)
             assert abs(skewness(zstar)) < 1e-6
-            assert fit.source_min > 0
 
     def test_matches_brentq_oracle(self):
         rng = np.random.default_rng(21)
@@ -130,6 +129,12 @@ class TestZeroSkewFit:
         # skewness is constant positive, no sign change anywhere
         with pytest.raises(NoRootError, match="skewness"):
             boxcox_zero_skew(np.array([1.0, 1.0, 1.0, 2.0]))
+
+    def test_constant_treatment_names_zero_variance(self):
+        # every transform of a constant is constant: no skewness to root
+        with pytest.raises(NoRootError, match="^no zero-skewness root: the treatment has zero "
+                                              "variance$"):
+            boxcox_zero_skew(np.full(50, 2.5))
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
