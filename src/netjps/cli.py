@@ -4,7 +4,8 @@ Subcommands: ``exposure``, ``fit``, ``drf``, ``balance``, ``simulate``.
 Every run is driven by one config file (``--config``); ``--out`` and
 ``--seed`` override the config.  On failure a machine-readable JSON error is
 written to stderr and the exit code is the error class's ``exit_code``.  Set
-NETJPS_LOG=debug|info|warning for log verbosity.
+NETJPS_LOG=debug|info|warning|error|critical for log verbosity; any other
+value means warning.
 """
 
 import argparse
@@ -30,6 +31,7 @@ from .network import build_adjacency
 logger = logging.getLogger(__name__)
 
 MISSING_FILE_EXIT = 3
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")  # NETJPS_LOG's values
 
 
 def _load_dataset(cfg):
@@ -50,9 +52,12 @@ def _load_dataset(cfg):
     dataset = attach_exposure(dataset, adj, cfg.exposure_mode)
     for spec in cfg.neighborhood:
         dataset = add_neighborhood_covariate(dataset, adj, spec)
+    taken = {c.unit: "columns.unit", c.period: "columns.period",
+             c.outcome: "columns.outcome", c.treatment: "columns.treatment"}
     for name in (*c.x_z, *c.x_g):
         if name not in dataset.covariates:
-            raise UnboundColumnError(f"bound covariate {name!r} not found in the panel")
+            where = f"is bound by {taken[name]}" if name in taken else "not found in the panel"
+            raise UnboundColumnError(f"bound covariate {name!r} {where}")
     return dataset
 
 
@@ -115,7 +120,7 @@ def _run_variants(cfg, config, dataset):
 def _fit_summary(cfg, n, result, nres):
     summary = {"variant": cfg.variant, "n": n}
     if result is not None:
-        summary["boxcox"] = {"k": result.gps.boxcox.k, "skewness": result.gps.boxcox.skewness}
+        summary["boxcox"] = result.gps.boxcox
         summary["treatment_models"] = {
             "individual": io_mod.linear_fit_payload(result.gps.z_model),
             "neighborhood": io_mod.linear_fit_payload(result.gps.g_model),
@@ -123,8 +128,8 @@ def _fit_summary(cfg, n, result, nres):
         summary["outcome_model"] = io_mod.linear_fit_payload(result.outcome)
     if nres is not None:
         summary["naive"] = {
-            "boxcox": {"k": nres.boxcox.k, "skewness": nres.boxcox.skewness},
-            "individual_model": io_mod.linear_fit_payload(nres.z_model),
+            "boxcox": nres.gps.boxcox,
+            "individual_model": io_mod.linear_fit_payload(nres.gps.z_model),
             "outcome_model": io_mod.linear_fit_payload(nres.outcome),
         }
     return summary
@@ -269,8 +274,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("NETJPS_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("NETJPS_LOG", "warning").lower()
+    logging.basicConfig(level=level.upper() if level in _LOG_LEVELS else "WARNING")
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -203,6 +203,10 @@ def parse_config(text, source="<config>"):
         sections = {name: cls(**tree.pop(name, {})) for name, cls in _SECTIONS.items()}
     except InputError:  # GridPolicy's percentile order, the one rule across keys
         raise ConfigError(f"{source}: grid.lower_pct must be below grid.upper_pct") from None
+    columns = sections["columns"]
+    if columns.outcome == columns.treatment:
+        raise ConfigError(f"{source}: columns.outcome and columns.treatment both bind "
+                          f"column {columns.outcome!r}")
     return RunConfig(**tree, **sections, neighborhood=tuple(neighborhood), scenario=scenario)
 
 

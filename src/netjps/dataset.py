@@ -115,6 +115,10 @@ def attach_exposure(dataset, adj, mode="plain"):
 
 
 def add_neighborhood_covariate(dataset, adj, spec):
-    """Append the summarized neighbor attribute as a new covariate column."""
+    """Append the summarized neighbor attribute as a new covariate column;
+    a name the dataset already has is rejected, not replaced."""
+    name = spec.output_name()
+    if name in dataset.covariates:
+        raise InputError(f"neighborhood covariate {name!r} is already a covariate")
     values, _ = neighborhood_covariate(adj, dataset, spec)
-    return dataset.with_covariate(spec.output_name(), values)
+    return dataset.with_covariate(name, values)

@@ -98,11 +98,12 @@ class JpsConfig:
 
 @dataclass(frozen=True)
 class GpsFit:
-    """Fitted treatment models: the transform, Z*-model and G-model."""
+    """Fitted treatment models: the transform, Z*-model and G-model; the
+    no-interference estimator has none of the last (``g_model`` None)."""
 
     boxcox: BoxCoxFit
     z_model: LinearFit
-    g_model: LinearFit
+    g_model: LinearFit | None
 
     @property
     def x_z(self):
@@ -121,16 +122,19 @@ class PropensityScores:
 
     :func:`predict_scores` also keeps the per-unit conditional means it
     evaluated them at, the Z* mean and the part of the G mean without the
-    individual treatment (``base_g``), for :func:`impute_drf` to reuse.
+    individual treatment (``base_g``), for imputation to reuse.  Without a
+    G-model ``lam`` and ``base_g`` are None.
     """
 
     phi: np.ndarray
-    lam: np.ndarray
+    lam: np.ndarray | None
     mean_zstar: np.ndarray | None = None
     base_g: np.ndarray | None = None
 
     def __post_init__(self):
         for arr, label in ((self.phi, "individual"), (self.lam, "neighborhood")):
+            if arr is None:
+                continue
             arr = np.asarray(arr, dtype=float)
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
                 raise DomainError(f"{label} propensity scores must be positive and finite")
@@ -143,9 +147,10 @@ class DrfGrid:
     ``surface[iz, ig]`` averages the imputed potential outcomes at
     (z_grid[iz], g_grid[ig]); a z-only grid (the no-interference estimator)
     has ``g_grid``/``surface``/``marginal_g`` set to None.  Non-finite
-    surface cells are NaN, listed in ``meta["flagged_cells"]``; non-finite
-    marginal entries are set to NaN here.  Neither is logged: the bootstrap
-    builds a grid per replicate, so the CLI logs a point estimate's flags.
+    surface cells and marginal entries are set to NaN here, and the
+    surface's are listed in ``meta["flagged_cells"]``, its last key (empty
+    without a surface).  Neither is logged: the bootstrap builds a grid per
+    replicate, so the CLI logs a point estimate's flags.
     """
 
     z_grid: np.ndarray
@@ -156,20 +161,18 @@ class DrfGrid:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.z_grid.size > 1 and not np.all(np.diff(self.z_grid) > 0):
-            raise InputError("z grid must be strictly increasing")
-        if self.g_grid is not None:
-            if self.g_grid.size > 1 and not np.all(np.diff(self.g_grid) > 0):
-                raise InputError("g grid must be strictly increasing")
-            if self.surface is not None and self.surface.shape != (
-                self.z_grid.size,
-                self.g_grid.size,
-            ):
-                raise InputError("surface dimensions must match the grids")
-        for name in ("marginal_z", "marginal_g"):
-            curve = getattr(self, name)
-            if curve is not None and not np.all(np.isfinite(curve)):
-                setattr(self, name, np.where(np.isfinite(curve), curve, np.nan))
+        for label, grid in (("z", self.z_grid), ("g", self.g_grid)):
+            if grid is not None and grid.size > 1 and not np.all(np.diff(grid) > 0):
+                raise InputError(f"{label} grid must be strictly increasing")
+        shape = None if self.g_grid is None else (self.z_grid.size, self.g_grid.size)
+        if self.surface is not None and self.surface.shape != shape:
+            raise InputError("surface dimensions must match the grids")
+        for name in ("surface", "marginal_z", "marginal_g"):
+            values = getattr(self, name)
+            if values is not None and not np.all(np.isfinite(values)):
+                setattr(self, name, np.where(np.isfinite(values), values, np.nan))
+        flagged = [] if self.surface is None else np.argwhere(np.isnan(self.surface)).tolist()
+        self.meta = {**self.meta, "flagged_cells": [tuple(cell) for cell in flagged]}
 
     @property
     def estimator(self):
@@ -200,14 +203,6 @@ def _fit_z_model(dataset, x_z):
     return bc, fit_ols(xz, zstar, names=names_z)
 
 
-def _zstar_mean(z_model, dataset):
-    """Per-unit conditional mean of Z*, after the model's scale is checked."""
-    if z_model.sigma <= 0:
-        raise DomainError("individual-treatment residual scale is zero; scores degenerate")
-    xz, _ = _design(dataset, z_model.names[1:])
-    return xz @ z_model.theta
-
-
 def fit_treatment_models(dataset, config):
     """Stage 1: Gaussian models for both treatments.
 
@@ -226,34 +221,37 @@ def fit_treatment_models(dataset, config):
     return GpsFit(boxcox=bc, z_model=z_model, g_model=g_model)
 
 
-def _score_parts(gps, dataset):
-    """Per-unit conditional means of both treatment models: the Z* mean and
-    base_g, the G mean without its beta_gz * z term."""
-    mean_zstar = _zstar_mean(gps.z_model, dataset)
-    if gps.g_model.sigma <= 0:
-        raise DomainError("neighborhood-treatment residual scale is zero; scores degenerate")
-    xg_base, _ = _design(dataset, gps.x_g)
-    return mean_zstar, xg_base @ gps.g_model.theta[:-1]
-
-
 def predict_scores(gps, dataset):
-    """Stage 2: both scores evaluated at each unit's observed treatments.
+    """Stage 2: both scores evaluated at each unit's observed treatments,
+    with the per-unit conditional means they are evaluated at: the Z* mean
+    and base_g, the G mean without its beta_gz * z term.  Without a G-model
+    there is only the individual score.
 
     The individual score is the Gaussian density of the transformed
     treatment (no Jacobian back to the raw scale: the score only enters the
     outcome model as a balancing covariate).
     """
-    mean_zstar, base_g = _score_parts(gps, dataset)
-    zstar = boxcox_apply(dataset.z, gps.boxcox.k)
-    phi = normal_density(zstar, mean_zstar, gps.z_model.sigma)
+    if gps.z_model.sigma <= 0:
+        raise DomainError("individual-treatment residual scale is zero; scores degenerate")
+    xz, _ = _design(dataset, gps.x_z)
+    mean_zstar = xz @ gps.z_model.theta
+    phi = normal_density(boxcox_apply(dataset.z, gps.boxcox.k), mean_zstar, gps.z_model.sigma)
+    if gps.g_model is None:
+        return PropensityScores(phi=phi, lam=None, mean_zstar=mean_zstar)
+    if gps.g_model.sigma <= 0:
+        raise DomainError("neighborhood-treatment residual scale is zero; scores degenerate")
+    xg_base, _ = _design(dataset, gps.x_g)
+    base_g = xg_base @ gps.g_model.theta[:-1]
     lam = normal_density(dataset.require_g(), base_g + gps.g_model.coef("z") * dataset.z,
                          gps.g_model.sigma)
     return PropensityScores(phi=phi, lam=lam, mean_zstar=mean_zstar, base_g=base_g)
 
 
 def fit_outcome(dataset, scores):
-    """Stage 3: polynomial outcome model on treatments and scores."""
-    x, names = build_outcome_matrix(dataset.z, dataset.require_g(), scores.phi, scores.lam)
+    """Stage 3: polynomial outcome model on treatments and scores; without
+    a neighborhood score, the polynomial without g and lambda terms."""
+    g = None if scores.lam is None else dataset.require_g()
+    x, names = build_outcome_matrix(dataset.z, g, scores.phi, scores.lam)
     return fit_ols(x, dataset.y, names=names)
 
 
@@ -417,8 +415,7 @@ def impute_drf(gps, scores, outcome, dataset, grid):
       treatment from ``scores`` (stage 2).
 
     The per-unit conditional means come from ``scores``, as
-    :func:`predict_scores` leaves them.  A surface cell whose value is not
-    finite is NaN and listed in ``meta["flagged_cells"]``.
+    :func:`predict_scores` leaves them.
     """
     if scores.mean_zstar is None or scores.base_g is None or scores.base_g.size != dataset.n:
         raise InputError("imputation needs the scores that predict_scores gives on this dataset")
@@ -447,14 +444,10 @@ def impute_drf(gps, scores, outcome, dataset, grid):
             z_means, powers(g_grid), phi_obs, tuple(lam_g),
             z_phi=(dataset.z * scores.phi).mean()))
 
-    flagged = [tuple(cell) for cell in np.argwhere(~np.isfinite(surface)).tolist()]
-    if flagged:
-        surface[~np.isfinite(surface)] = np.nan
     meta = {
         "n": n,
         "variant": "with_interference",
         "grid": {"n_z": nz, "n_g": ng, "lower_pct": grid.lower_pct, "upper_pct": grid.upper_pct},
-        "flagged_cells": flagged,
     }
     return DrfGrid(
         z_grid=z_grid, g_grid=g_grid, surface=surface,
@@ -523,6 +516,8 @@ def effects(drf, spec=ContrastSpec()):
 
 @dataclass
 class JpsResult:
+    """Every stage's output of one run of either estimator."""
+
     gps: GpsFit
     scores: PropensityScores
     outcome: LinearFit
@@ -538,36 +533,26 @@ def run_jps(dataset, config):
     return JpsResult(gps=gps, scores=scores, outcome=outcome, drf=drf)
 
 
-@dataclass
-class NaiveResult:
-    boxcox: BoxCoxFit
-    z_model: LinearFit
-    outcome: LinearFit
-    drf: DrfGrid
-
-
 def run_naive(dataset, config):
-    """No-interference pipeline: no exposure, no neighborhood score anywhere.
+    """No-interference pipeline: stages 1-3 without a G-model, so with no
+    exposure and no neighborhood score anywhere, then the z-curve imputed
+    from the individual score alone.
 
     The individual-treatment model is fitted exactly as in
     :func:`fit_treatment_models`.
     """
-    bc, z_model = _fit_z_model(dataset, config.x_z)
-    mean_zstar = _zstar_mean(z_model, dataset)
-    phi_obs = normal_density(boxcox_apply(dataset.z, bc.k), mean_zstar, z_model.sigma)
-    x, names = build_outcome_matrix(dataset.z, None, phi_obs, None)
-    outcome = fit_ols(x, dataset.y, names=names)
-
+    gps = GpsFit(*_fit_z_model(dataset, config.x_z), g_model=None)
+    scores = predict_scores(gps, dataset)
+    outcome = fit_outcome(dataset, scores)
     z_grid, _ = config.grid.resolve(dataset.z)
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = _phi_means(z_grid, bc.k, mean_zstar, z_model.sigma,
+        phi = _phi_means(z_grid, gps.boxcox.k, scores.mean_zstar, gps.z_model.sigma,
                          _block_buffers(z_grid.size, dataset.n))
         marginal_z = outcome_value(outcome.theta, outcome_terms(
             powers(z_grid), None, tuple(phi), None))
     drf = DrfGrid(
         z_grid=z_grid, g_grid=None, surface=None,
         marginal_z=marginal_z, marginal_g=None,
-        meta={"n": dataset.n, "variant": "without_interference",
-              "grid": {"n_z": z_grid.size}, "flagged_cells": []},
+        meta={"n": dataset.n, "variant": "without_interference", "grid": {"n_z": z_grid.size}},
     )
-    return NaiveResult(boxcox=bc, z_model=z_model, outcome=outcome, drf=drf)
+    return JpsResult(gps=gps, scores=scores, outcome=outcome, drf=drf)

@@ -194,6 +194,12 @@ class TestConfig:
                                match=r"^cfg: grid\.lower_pct must be below grid\.upper_pct$"):
                 parse_config(f"grid.upper_pct = {upper}\ngrid.lower_pct = {lower}\n",
                              source="cfg")
+        # so are the outcome and the treatment, bound to one column
+        for text, column in (("columns.outcome = z\n", "z"),
+                             ("columns.treatment = v\ncolumns.outcome = v\n", "v")):
+            with pytest.raises(ConfigError, match=r"^cfg: columns\.outcome and columns\.treatment "
+                                                  rf"both bind column '{column}'$"):
+                parse_config(text, source="cfg")
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -599,6 +605,8 @@ class TestErrorContract:
              ": invalid scenario: need at least one unit and one period"),
             ("drf", "out = o\ngrid.lower_pct = 90\ngrid.upper_pct = 10\n",
              ": grid.lower_pct must be below grid.upper_pct"),
+            ("drf", "out = o\ncolumns.outcome = z\n",
+             ": columns.outcome and columns.treatment both bind column 'z'"),
         ):
             bad = write(tmp_path / "bad.cfg", text)
             assert main([cmd, "--config", bad]) == 2
@@ -606,12 +614,61 @@ class TestErrorContract:
                                                            "message": bad + message}
 
     def test_unbound_column_exit_code(self, simulated, tmp_path, capsys):
+        for column, why in (
+            ("gdp", "not found in the panel"),
+            # in the panel, but bound as something else: the message names that binding
+            ("z", "is bound by columns.treatment"), ("y", "is bound by columns.outcome"),
+            ("unit", "is bound by columns.unit"),
+        ):
+            text = RUN_CONFIG.format(
+                panel=simulated / "panel.csv", edges=simulated / "edges.csv",
+                out=tmp_path / "o", variant="jps", b=0,
+            ).replace("columns.x_g = x0, x1", f"columns.x_g = x0, {column}")
+            message = f"bound covariate {column!r} {why}"
+            with pytest.raises(errors.UnboundColumnError, match=f"^{message}$"):
+                cli._load_dataset(parse_config(text))
+            assert main(["drf", "--config", write(tmp_path / "run.cfg", text)]) == 4
+            assert json.loads(capsys.readouterr().err) == {"error": "unbound-column",
+                                                           "message": message}
+
+    @pytest.mark.parametrize("name", ["x1", "nbr"])
+    def test_neighborhood_name_taken_exit_code(self, simulated, tmp_path, capsys, name):
+        # a summary named like a panel column, or repeated, would silently
+        # replace the earlier column
         runfile = write(tmp_path / "run.cfg", RUN_CONFIG.format(
             panel=simulated / "panel.csv", edges=simulated / "edges.csv",
             out=tmp_path / "o", variant="jps", b=0,
-        ).replace("columns.x_z = x0, x1", "columns.x_z = gdp"))
-        assert main(["drf", "--config", runfile]) == 4
-        assert json.loads(capsys.readouterr().err)["error"] == "unbound-column"
+        ) + "neighborhood.nbr = weighted_mean:in:x0\n" + f"neighborhood.{name} = sum:in:x0\n")
+        assert main(["drf", "--config", runfile]) == 5
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "input", "message": f"neighborhood covariate {name!r} is already a covariate"}
+
+    @pytest.mark.parametrize("value, level", [("debug", "DEBUG"), ("Error", "ERROR"),
+                                              ("basic_format", "WARNING"), ("root", "WARNING"),
+                                              ("", "WARNING")])
+    def test_log_level_names_only(self, monkeypatch, value, level):
+        # any other value than a level name means warning, not a crash
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda level: levels.append(level))
+        monkeypatch.setenv("NETJPS_LOG", value)
+        assert main(["drf", "--config", "/nonexistent/x.cfg"]) == 3
+        assert levels == [level]
+
+    def test_log_level_from_the_environment(self, simulated, tmp_path):
+        # the out-of-support warning shows at warning, also when the value
+        # is no level name, and not at error
+        runfile = write(tmp_path / "run.cfg", RUN_CONFIG.format(
+            panel=simulated / "panel.csv", edges=simulated / "edges.csv",
+            out=tmp_path / "o", variant="jps", b=0,
+        ) + "grid.z_values = 0.01, 1.0\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        for value, logged in (("basic_format", True), ("WARNING", True), ("error", False)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "netjps.cli", "fit", "--config", runfile],
+                env={**env, "NETJPS_LOG": value}, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert ("extends outside the observed support" in proc.stderr) == logged, value
 
     def test_malformed_csv_row_names_row_number(self, simulated, tmp_path, capsys):
         panel = simulated / "panel.csv"

@@ -153,6 +153,14 @@ class TestOutcomeFit:
         assert fit.names == WITHOUT_INTERFERENCE_TERMS
         assert len(fit.theta) == 8
 
+    def test_scores_without_neighborhood_score_pick_8_terms(self):
+        # the polynomial follows the scores, not the dataset: g is attached
+        ds = make_dataset(seed=3)
+        scores = run_naive(ds, config_for(ds)).scores
+        assert fit_outcome(ds, scores).names == WITHOUT_INTERFERENCE_TERMS
+        without_g = fit_outcome(replace(ds, g=None), scores)
+        assert np.array_equal(without_g.theta, fit_outcome(ds, scores).theta)
+
     def test_requires_exposures(self):
         ds = make_dataset(seed=3)
         scores = predict_scores(fit_treatment_models(ds, config_for(ds)), ds)
@@ -268,7 +276,7 @@ class TestImputeAndMarginals:
         cfg = config_for(ds, GridPolicy(n_z=7))
         res = run_naive(ds, cfg)
         _, mz, mg = loop_impute(res.outcome.theta, "without_interference", ds,
-                                res.boxcox.k, res.z_model, cfg.x_z, res.drf.z_grid)
+                                res.gps.boxcox.k, res.gps.z_model, cfg.x_z, res.drf.z_grid)
         assert mg is None
         assert np.max(np.abs(res.drf.marginal_z - mz)) < 1e-12 * max(1.0, np.max(np.abs(mz)))
 
@@ -327,18 +335,20 @@ class TestImputeAndMarginals:
         assert naive.meta["flagged_cells"] == []
 
     def test_score_means_computed_once_per_run(self, monkeypatch):
-        # stage 2 hands its conditional means to imputation through the scores
+        # stage 2 hands its conditional means to imputation through the
+        # scores: each treatment model's design is built once to fit it and
+        # once to evaluate its score, and never in imputation
         calls = []
-        score_parts = jps._score_parts
+        design = jps._design
 
         def counted(*args):
             calls.append(args)
-            return score_parts(*args)
+            return design(*args)
 
-        monkeypatch.setattr(jps, "_score_parts", counted)
+        monkeypatch.setattr(jps, "_design", counted)
         ds = make_dataset(n=200, seed=43)
         res = run_jps(ds, config_for(ds, GridPolicy(n_z=3, n_g=3)))
-        assert len(calls) == 1
+        assert len(calls) == 4
         with pytest.raises(InputError, match="predict_scores"):
             impute_drf(res.gps, replace(res.scores, base_g=None), res.outcome, ds, GridPolicy())
 
@@ -408,11 +418,16 @@ class TestNaive:
     def test_individual_treatment_model_shared_with_joint(self):
         ds = make_dataset(n=300, seed=83)
         cfg = config_for(ds)
-        naive, joint = run_naive(ds, cfg), run_jps(ds, cfg).gps
-        assert naive.boxcox == joint.boxcox
-        assert naive.z_model.names == joint.z_model.names
-        assert np.array_equal(naive.z_model.theta, joint.z_model.theta)
-        assert naive.z_model.sigma == joint.z_model.sigma
+        naive, joint = run_naive(ds, cfg), run_jps(ds, cfg)
+        assert naive.gps.boxcox == joint.gps.boxcox
+        assert naive.gps.z_model.names == joint.gps.z_model.names
+        assert np.array_equal(naive.gps.z_model.theta, joint.gps.z_model.theta)
+        assert naive.gps.z_model.sigma == joint.gps.z_model.sigma
+        # no G side anywhere: no G-model, no neighborhood score, no base_g
+        assert naive.gps.g_model is None
+        assert naive.scores.lam is None and naive.scores.base_g is None
+        assert np.array_equal(naive.scores.mean_zstar, joint.scores.mean_zstar)
+        assert np.array_equal(naive.scores.phi, joint.scores.phi)
 
     def test_naive_drf_defaults_and_shape(self):
         ds = make_dataset(n=300, seed=67)

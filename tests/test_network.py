@@ -10,7 +10,7 @@ from netjps.network import (
     build_adjacency,
     neighborhood_covariate,
 )
-from netjps.dataset import PanelDataset, attach_exposure
+from netjps.dataset import PanelDataset, add_neighborhood_covariate, attach_exposure
 
 from oracles import loop_exposure, loop_neighborhood, scipy_csr
 
@@ -323,6 +323,19 @@ def test_neighborhood_covariate_missing_column():
     adj = build_adjacency([], NODES3)
     with pytest.raises(InputError, match="missing covariate"):
         neighborhood_covariate(adj, ds, NeighborhoodSummarySpec(covariate="nope"))
+
+
+def test_neighborhood_covariate_never_replaces_a_covariate():
+    ds = _dataset3([1.0, 2.0, 3.0])
+    adj = build_adjacency([("B", "A", 2000, 1.0)], NODES3)
+    with pytest.raises(InputError, match="'v' is already a covariate"):
+        add_neighborhood_covariate(ds, adj, NeighborhoodSummarySpec(covariate="v", name="v"))
+    # a repeated name collides with the first summary of that name
+    ds = add_neighborhood_covariate(ds, adj, NeighborhoodSummarySpec(covariate="v", name="nbr"))
+    with pytest.raises(InputError, match="'nbr' is already a covariate"):
+        add_neighborhood_covariate(
+            ds, adj, NeighborhoodSummarySpec(covariate="v", summarizer="sum", name="nbr"))
+    assert ds.covariate_names() == ("v", "nbr")
 
 
 def test_invalid_spec_fields():
