@@ -3,7 +3,10 @@
 Replicates resample (unit, period) rows i.i.d. with replacement, carrying
 each row's precomputed exposure as a fixed attribute (re-deriving a coherent
 network from a multiset of nodes is ill-defined), and re-run the full
-pipeline on the grid of the point estimate the caller passes in.  Replicate
+pipeline on the grid of the point estimate the caller passes in.  A
+replicate runs on its distinct drawn rows, about 63% of the panel, each
+weighted by how often it was drawn: every stage then computes what it would
+on the resample with its repeats, up to rounding.  Replicate
 r draws from a stream seeded by (seed, r), so execution order and parallel
 fan-out cannot change the result; replicate outputs are sorted before the
 percentile step.  The bands hold only the bounds and replicate counts: the
@@ -89,8 +92,9 @@ def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
     outside = 0
     for r in range(b):
         rng = np.random.default_rng((seed, r))
-        idx = rng.integers(0, n, size=n)
-        sample = dataset.subset(idx)
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        rows = np.flatnonzero(counts)
+        sample = dataset.subset(rows, weights=counts[rows])
         try:
             rep = run(sample, rep_config)
         except NetjpsError as exc:

@@ -207,6 +207,13 @@ def parse_config(text, source="<config>"):
     if columns.outcome == columns.treatment:
         raise ConfigError(f"{source}: columns.outcome and columns.treatment both bind "
                           f"column {columns.outcome!r}")
+    # the panel's bound columns are not covariates, so a summary named like
+    # one would be added silently in its place
+    for spec in neighborhood:
+        for binding in ("unit", "period", "outcome", "treatment"):
+            if spec.output_name() == getattr(columns, binding):
+                raise ConfigError(f"{source}: neighborhood.{spec.output_name()} is named like "
+                                  f"columns.{binding}")
     return RunConfig(**tree, **sections, neighborhood=tuple(neighborhood), scenario=scenario)
 
 

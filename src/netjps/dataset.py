@@ -5,6 +5,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, UnboundColumnError
+from .linear_model import frequency_weights
 # check_unique_keys is re-exported: ingest checks a panel's keys before it
 # has a graph to align with
 from .network import PanelKeys, check_unique_keys, exposure, neighborhood_covariate
@@ -15,7 +16,10 @@ class PanelDataset:
     """Outcome, treatment, covariates and (once computed) exposure per row.
 
     Row order is preserved everywhere; nothing in the pipeline re-sorts it.
-    ``g`` is None until exposures are attached.
+    ``g`` is None until exposures are attached.  ``weights`` are optional
+    positive frequency weights, one per row: every estimation stage counts
+    row i weights[i] times, as if it were repeated.  None counts each row
+    once, with the unweighted arithmetic.
     """
 
     units: np.ndarray
@@ -24,6 +28,7 @@ class PanelDataset:
     z: np.ndarray
     covariates: dict
     g: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "units", np.asarray(self.units, dtype=object))
@@ -51,6 +56,7 @@ class PanelDataset:
             if not np.all(np.isfinite(g)):
                 raise InputError("exposure column has non-finite g values")
             object.__setattr__(self, "g", g)
+        object.__setattr__(self, "weights", frequency_weights(self.weights, n))
 
     @property
     def n(self):
@@ -96,9 +102,13 @@ class PanelDataset:
         covs[name] = np.asarray(values, dtype=float)
         return self._derive(covariates=covs)
 
-    def subset(self, idx):
-        """Row subset (duplicates allowed; used by the bootstrap)."""
+    def subset(self, idx, weights=None):
+        """The rows ``idx``, repeats allowed, each with its weight times
+        ``weights[j]``.  The bootstrap takes each replicate's distinct
+        drawn rows, weighted by how often each was drawn."""
         idx = np.asarray(idx)
+        if self.weights is not None:
+            weights = self.weights[idx] if weights is None else self.weights[idx] * weights
         return PanelDataset(
             units=self.units[idx],
             periods=self.periods[idx],
@@ -106,6 +116,7 @@ class PanelDataset:
             z=self.z[idx],
             covariates={k: v[idx] for k, v in self.covariates.items()},
             g=None if self.g is None else self.g[idx],
+            weights=weights,
         )
 
 

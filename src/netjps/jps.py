@@ -21,6 +21,11 @@ which take O((n_z + n_g) * n) exps where a direct evaluation takes one per
 unit and cell.  Every contraction over units is a set of BLAS dot products
 (``np.vecdot``) of at most ``UNIT_BLOCK`` terms each, so each output sums
 in one fixed order whatever the BLAS thread count.
+
+Every stage reads the dataset's frequency weights: the Box-Cox root and the
+OLS fits through their ``weights``, and every unit mean of imputation as
+sum_i w_i x_i / sum_i w_i.  Without weights each stage runs the unweighted
+arithmetic; with them, only its sums differ.
 """
 
 import math
@@ -38,6 +43,7 @@ from .linear_model import (
     outcome_terms,
     outcome_value,
     powers,
+    weighted_mean,
 )
 from .transforms import BoxCoxFit, boxcox_apply, boxcox_zero_skew
 
@@ -58,16 +64,20 @@ class GridPolicy:
         if not self.lower_pct < self.upper_pct:
             raise InputError("grid lower_pct must be below upper_pct")
 
-    def resolve(self, z_obs, g_obs=None):
-        z_grid = self._axis(self.z_values, self.n_z, z_obs, "z")
+    def resolve(self, z_obs, g_obs=None, weighted=False):
+        """The z and g grids; a weighted panel has no empirical percentiles
+        here, so its grids must be explicit."""
+        z_grid = self._axis(self.z_values, self.n_z, z_obs, "z", weighted)
         g_grid = None
         if g_obs is not None:
-            g_grid = self._axis(self.g_values, self.n_g, g_obs, "g")
+            g_grid = self._axis(self.g_values, self.n_g, g_obs, "g", weighted)
         return z_grid, g_grid
 
-    def _axis(self, explicit, n, obs, label):
+    def _axis(self, explicit, n, obs, label, weighted):
         if explicit is not None:
             grid = np.asarray(explicit, dtype=float)
+        elif weighted:
+            raise InputError(f"a weighted panel needs explicit {label} grid values")
         else:
             lo, hi = np.percentile(obs, [self.lower_pct, self.upper_pct])
             grid = np.linspace(lo, hi, n)
@@ -198,9 +208,9 @@ def _design(dataset, names):
 def _fit_z_model(dataset, x_z):
     """The individual-treatment model of both estimators: the zero-skewness
     Box-Cox root and the OLS fit of Z* on (const, *x_z)."""
-    bc, zstar = boxcox_zero_skew(dataset.z)
+    bc, zstar = boxcox_zero_skew(dataset.z, dataset.weights)
     xz, names_z = _design(dataset, x_z)
-    return bc, fit_ols(xz, zstar, names=names_z)
+    return bc, fit_ols(xz, zstar, names=names_z, weights=dataset.weights)
 
 
 def fit_treatment_models(dataset, config):
@@ -217,7 +227,8 @@ def fit_treatment_models(dataset, config):
         )
     bc, z_model = _fit_z_model(dataset, config.x_z)
     xg, names_g = _design(dataset, config.x_g)
-    g_model = fit_ols(np.column_stack([xg, dataset.z]), g, names=(*names_g, "z"))
+    g_model = fit_ols(np.column_stack([xg, dataset.z]), g, names=(*names_g, "z"),
+                      weights=dataset.weights)
     return GpsFit(boxcox=bc, z_model=z_model, g_model=g_model)
 
 
@@ -252,14 +263,13 @@ def fit_outcome(dataset, scores):
     a neighborhood score, the polynomial without g and lambda terms."""
     g = None if scores.lam is None else dataset.require_g()
     x, names = build_outcome_matrix(dataset.z, g, scores.phi, scores.lam)
-    return fit_ols(x, dataset.y, names=names)
+    return fit_ols(x, dataset.y, names=names, weights=dataset.weights)
 
 
 # Units per block of every unit sum in grid imputation.  It also bounds the
 # length of every np.vecdot contraction, which numpy runs as one BLAS ddot
-# per output value for float64.  OpenBLAS computes a ddot of at most 10000
-# terms on one thread, so its summation order, and the output's bits, do
-# not depend on the BLAS thread count as long as UNIT_BLOCK <= 10000.
+# per output value for float64, so the output's bits do not depend on the
+# BLAS thread count as long as UNIT_BLOCK <= DOT_BLOCK.
 UNIT_BLOCK = 512
 
 # A surface tile spans at most h = this many sigma_g either side of its
@@ -293,42 +303,53 @@ def _block_buffers(rows, n):
     return np.empty((2, rows, min(n, UNIT_BLOCK)))
 
 
-def _density_means(x, means, sd, buffers, weight=None):
+def _row_sums(block, weights):
+    """Sums of a block's rows over its units, or with the units' frequency
+    weights their dots with them: one ddot per row, at most UNIT_BLOCK
+    long, so a fixed sum order."""
+    return block.sum(axis=1) if weights is None else np.vecdot(block, weights)
+
+
+def _density_means(x, means, sd, buffers, factor=None, weights=None):
     """Unit means of N(x_j; means_i, sd)^k for k = 1, 2, 3, and of
-    weight_i * N(x_j; means_i, sd) when ``weight`` is given: the rows of a
-    (3 or 4, x.size) array.  The densities are formed one block of
-    ``UNIT_BLOCK`` units at a time in ``buffers`` (:func:`_block_buffers`).
+    factor_i * N(x_j; means_i, sd) when ``factor`` is given: the rows of a
+    (3 or 4, x.size) array, weighted by the units' frequency ``weights``
+    if any.  The densities are formed one block of ``UNIT_BLOCK`` units at
+    a time in ``buffers`` (:func:`_block_buffers`).
     """
     n = means.size
     dens, pw = buffers
-    sums = np.zeros((3 if weight is None else 4, x.size))
+    sums = np.zeros((3 if factor is None else 4, x.size))
+    if factor is not None and weights is not None:
+        factor = factor * weights
     for lo in range(0, n, UNIT_BLOCK):
         units = slice(lo, min(lo + UNIT_BLOCK, n))
         m = units.stop - lo
+        w = None if weights is None else weights[units]
         d = np.subtract(x[:, None], means[units], out=dens[:, :m])
         d *= d
         d *= -0.5 / (sd * sd)
         np.exp(d, out=d)
         p = np.multiply(d, d, out=pw[:, :m])
-        sums[0] += d.sum(axis=1)
-        sums[1] += p.sum(axis=1)
-        sums[2] += np.multiply(p, d, out=p).sum(axis=1)
-        if weight is not None:
-            # one ddot per row, at most UNIT_BLOCK long: a fixed sum order
-            sums[3] += np.vecdot(d, weight[units])
+        sums[0] += _row_sums(d, w)
+        sums[1] += _row_sums(p, w)
+        sums[2] += _row_sums(np.multiply(p, d, out=p), w)
+        if factor is not None:
+            sums[3] += np.vecdot(d, factor[units])
     peaks = _peak_powers(sd)
     sums[:3] /= peaks[:, None]
     sums[3:] /= peaks[0]
-    return sums / n
+    return sums / (n if weights is None else weights.sum())
 
 
-def _phi_means(z_grid, boxcox_k, mean_zstar, sigma_z, buffers):
+def _phi_means(z_grid, boxcox_k, mean_zstar, sigma_z, buffers, weights):
     """Unit means of phi_i(z)^k, k = 1, 2, 3, at each z: the individual-score
     part of the joint surface, of its z-marginal and of the naive curve."""
-    return _density_means(boxcox_apply(z_grid, boxcox_k), mean_zstar, sigma_z, buffers)
+    return _density_means(boxcox_apply(z_grid, boxcox_k), mean_zstar, sigma_z, buffers,
+                          weights=weights)
 
 
-def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers):
+def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers, weights):
     """Unit means of lambda_i^k = N(g; base_g_i + beta * z, sigma)^k for
     k = 1, 2, 3 at each grid cell, as a (3, n_z, n_g) array, without one
     exp per unit and cell.
@@ -350,9 +371,14 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers):
     rows.  The products are formed by ``np.vecdot``, one BLAS dot of at
     most ``UNIT_BLOCK`` terms per cell, whose summation order does not
     depend on the BLAS thread count.  U and V are written into the z-axis
-    and g-axis :func:`_block_buffers`.
+    and g-axis :func:`_block_buffers`.  A unit's frequency weight, if any,
+    multiplies its V factor.
     """
-    b_sorted = np.sort(base_g)
+    if weights is None:
+        b_sorted = np.sort(base_g)
+    else:
+        order = np.argsort(base_g)
+        b_sorted, w_sorted = base_g[order], weights[order]
     nz, ng = z_grid.size, g_grid.size
     span = 2.0 * _TILE_HALF_WIDTH * sigma
     var = sigma * sigma
@@ -384,13 +410,16 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers):
             gap = y - d_star[:, None]
             e = -0.5 * (gap * gap + 2.0 * y * b_star[:, None]) / var
             uk, vk, out = uu, vv, prod[:, :, :nc]
+            if weights is not None:
+                vk = np.multiply(vv, w_sorted[units], out=vt)
             for k in range(3):
                 if k:
                     uk = np.multiply(uk, uu, out=ut)
                     vk = np.multiply(vk, vv, out=vt)
                 np.vecdot(uk[:, None, :], vk[None, :, :], out=out[k])
             sums[:, :, cells] += np.exp(powers_k * e + np.log(out))
-    return sums / _peak_powers(sigma)[:, None, None] / b_sorted.size
+    total = b_sorted.size if weights is None else weights.sum()
+    return sums / _peak_powers(sigma)[:, None, None] / total
 
 
 def impute_drf(gps, scores, outcome, dataset, grid):
@@ -419,8 +448,8 @@ def impute_drf(gps, scores, outcome, dataset, grid):
     """
     if scores.mean_zstar is None or scores.base_g is None or scores.base_g.size != dataset.n:
         raise InputError("imputation needs the scores that predict_scores gives on this dataset")
-    g_obs = dataset.require_g()
-    z_grid, g_grid = grid.resolve(dataset.z, g_obs)
+    g_obs, weights = dataset.require_g(), dataset.weights
+    z_grid, g_grid = grid.resolve(dataset.z, g_obs, weighted=weights is not None)
     mean_zstar, base_g, beta_gz = scores.mean_zstar, scores.base_g, gps.g_model.coef("z")
     sigma_z, sigma_g = gps.z_model.sigma, gps.g_model.sigma
     n, nz, ng = dataset.n, z_grid.size, g_grid.size
@@ -428,21 +457,24 @@ def impute_drf(gps, scores, outcome, dataset, grid):
 
     z_buffers, g_buffers = _block_buffers(nz, n), _block_buffers(ng, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = _phi_means(z_grid, gps.boxcox.k, mean_zstar, sigma_z, z_buffers)
+        phi = _phi_means(z_grid, gps.boxcox.k, mean_zstar, sigma_z, z_buffers, weights)
         # lambda_i(G_i | z) = N(beta * z; G_i - base_g_i, sigma_g)
-        lam_z = _density_means(beta_gz * z_grid, g_obs - base_g, sigma_g, z_buffers, weight=g_obs)
-        lam_g = _density_means(g_grid, base_g + beta_gz * dataset.z, sigma_g, g_buffers)
-        lam = _lambda_means(z_grid, g_grid, base_g, beta_gz, sigma_g, z_buffers, g_buffers)
+        lam_z = _density_means(beta_gz * z_grid, g_obs - base_g, sigma_g, z_buffers,
+                               factor=g_obs, weights=weights)
+        lam_g = _density_means(g_grid, base_g + beta_gz * dataset.z, sigma_g, g_buffers,
+                               weights=weights)
+        lam = _lambda_means(z_grid, g_grid, base_g, beta_gz, sigma_g, z_buffers, g_buffers,
+                            weights)
         surface = outcome_value(theta, outcome_terms(
             powers(z_grid[:, None]), powers(g_grid), tuple(phi[:, :, None]), tuple(lam)))
-        g_means = tuple(t.mean() for t in powers(g_obs))
+        g_means = tuple(weighted_mean(t, weights) for t in powers(g_obs))
         marginal_z = outcome_value(theta, outcome_terms(
             powers(z_grid), g_means, tuple(phi), tuple(lam_z[:3]), g_lam=lam_z[3]))
-        z_means = tuple(t.mean() for t in powers(dataset.z))
-        phi_obs = tuple(t.mean() for t in powers(scores.phi))
+        z_means = tuple(weighted_mean(t, weights) for t in powers(dataset.z))
+        phi_obs = tuple(weighted_mean(t, weights) for t in powers(scores.phi))
         marginal_g = outcome_value(theta, outcome_terms(
             z_means, powers(g_grid), phi_obs, tuple(lam_g),
-            z_phi=(dataset.z * scores.phi).mean()))
+            z_phi=weighted_mean(dataset.z * scores.phi, weights)))
 
     meta = {
         "n": n,
@@ -544,10 +576,10 @@ def run_naive(dataset, config):
     gps = GpsFit(*_fit_z_model(dataset, config.x_z), g_model=None)
     scores = predict_scores(gps, dataset)
     outcome = fit_outcome(dataset, scores)
-    z_grid, _ = config.grid.resolve(dataset.z)
+    z_grid, _ = config.grid.resolve(dataset.z, weighted=dataset.weights is not None)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _phi_means(z_grid, gps.boxcox.k, scores.mean_zstar, gps.z_model.sigma,
-                         _block_buffers(z_grid.size, dataset.n))
+                         _block_buffers(z_grid.size, dataset.n), dataset.weights)
         marginal_z = outcome_value(outcome.theta, outcome_terms(
             powers(z_grid), None, tuple(phi), None))
     drf = DrfGrid(

@@ -15,6 +15,12 @@ from .errors import DomainError, InputError, SingularDesignError
 
 RANK_TOL = 1e-10  # singular if a pivoted R diagonal < RANK_TOL * largest
 
+# Terms per BLAS dot product in a sum over rows.  OpenBLAS computes a ddot
+# of at most 10000 terms on one thread, so a sum of such dots added in order
+# has the same bits whatever the BLAS thread count; one ddot over more rows
+# does not.
+DOT_BLOCK = 10_000
+
 # Design rows for the outcome model, in the canonical reporting order
 # (polynomials in each treatment and score, score and treatment interactions,
 # intercept last).
@@ -38,7 +44,9 @@ class LinearFit:
     """OLS coefficients with the maximum-likelihood residual scale.
 
     ``sigma`` is sqrt(RSS/n): the fitted values feed Gaussian density
-    evaluations, where the ML convention is the one that matters.
+    evaluations, where the ML convention is the one that matters.  In a
+    weighted fit ``n`` is the weights' sum and ``rss`` the weighted sum of
+    squared residuals.
     """
 
     theta: np.ndarray
@@ -57,8 +65,35 @@ class LinearFit:
         return float(self.theta[self.names.index(name)])
 
 
-def fit_ols(x, y, names=None):
+def frequency_weights(weights, n):
+    """``weights`` as n positive finite floats, or None for none."""
+    if weights is None:
+        return None
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n,):
+        raise InputError(f"weights have shape {weights.shape}, expected ({n},)")
+    if n and not (weights.min() > 0 and weights.max() < math.inf):  # NaN fails both
+        raise InputError("weights must be positive and finite")
+    return weights
+
+
+def weighted_mean(x, weights=None):
+    """``x.mean()``, or sum(weights * x) / sum(weights): pairwise sums,
+    whose order does not depend on the BLAS thread count."""
+    return x.mean() if weights is None else (weights * x).sum() / weights.sum()
+
+
+def sum_of_squares(r):
+    """r . r as dots of at most ``DOT_BLOCK`` terms, added in order."""
+    return float(sum(r[i:i + DOT_BLOCK] @ r[i:i + DOT_BLOCK] for i in range(0, r.size, DOT_BLOCK)))
+
+
+def fit_ols(x, y, names=None, weights=None):
     """Least-squares fit of ``y`` on the columns of ``x``.
+
+    With frequency ``weights`` row i counts weights[i] times, as if
+    repeated: the rows of [x | y] are scaled by sqrt(weights) before the
+    one QR.
 
     Raises
     ------
@@ -82,6 +117,12 @@ def fit_ols(x, y, names=None):
     names = tuple(names)
     if len(names) != p:
         raise InputError("need one name per design column")
+    weights = frequency_weights(weights, n)
+    total = n
+    if weights is not None:
+        root = np.sqrt(weights)
+        x, y = x * root[:, None], y * root
+        total = float(weights.sum())
 
     # one QR of [x | y]: R is the top-left p x p block, Q^T y its last column
     r_xy = np.linalg.qr(np.column_stack([x, y]), mode="r")
@@ -104,9 +145,9 @@ def fit_ols(x, y, names=None):
     # an upper-triangular R needs no row swaps: this is back substitution
     theta = np.linalg.solve(r, qty)
     resid = y - x @ theta
-    rss = float(resid @ resid)
+    rss = sum_of_squares(resid)
     theta.setflags(write=False)
-    return LinearFit(theta=theta, sigma=math.sqrt(rss / n), n=n, rss=rss, names=names)
+    return LinearFit(theta=theta, sigma=math.sqrt(rss / total), n=total, rss=rss, names=names)
 
 
 def _pivoted_qr_diagonal(r, x):

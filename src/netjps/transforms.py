@@ -6,14 +6,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, DomainError, InputError, NoRootError
-from .linear_model import powers
+from .linear_model import frequency_weights, powers, weighted_mean
 
 SKEW_TOL = 1e-8  # root tolerance, in skewness units
 SKEW_POSTCONDITION = 1e-6
 
 
-def skewness(x):
-    """Sample skewness m3 / m2^(3/2) with population central moments.
+def skewness(x, weights=None):
+    """Sample skewness m3 / m2^(3/2) with population central moments, each
+    a :func:`~netjps.linear_model.weighted_mean` under frequency ``weights``.
 
     No small-sample correction is applied: the zero-skewness objective is
     stated in terms of these exact moments.
@@ -23,12 +24,14 @@ def skewness(x):
         raise InputError("skewness needs a 1-d sample of length >= 3")
     if not np.all(np.isfinite(x)):
         raise InputError("skewness needs finite values")
-    _, sq, cube = powers(x - x.mean())
-    m2 = np.mean(sq)
+    weights = frequency_weights(weights, x.size)
+    mean = weighted_mean(x, weights)
+    _, sq, cube = powers(x - mean)
+    m2 = weighted_mean(sq, weights)
     # guard against rounding residue when the sample is constant
-    if m2 <= (4 * np.finfo(float).eps * max(1.0, abs(float(x.mean())))) ** 2:
+    if m2 <= (4 * np.finfo(float).eps * max(1.0, abs(float(mean)))) ** 2:
         raise DegenerateSampleError("zero-variance sample has undefined skewness")
-    m3 = np.mean(cube)
+    m3 = weighted_mean(cube, weights)
     return float(m3 / m2**1.5)
 
 
@@ -69,8 +72,9 @@ class BoxCoxFit:
             )
 
 
-def boxcox_zero_skew(z):
-    """Find k with skewness((z^k - 1)/k) = 0 and return (fit, transformed).
+def boxcox_zero_skew(z, weights=None):
+    """Find k with skewness((z^k - 1)/k) = 0 and return (fit, transformed);
+    the skewness is weighted by the rows' frequency ``weights``, if any.
 
     Bracketed root search on k over [-5, 5], with bracket doubling before
     failure: Illinois (modified false-position) steps, falling back to the
@@ -91,7 +95,7 @@ def boxcox_zero_skew(z):
         if not np.all(np.isfinite(t)):
             return math.nan
         try:
-            return skewness(t)
+            return skewness(t, weights)
         except DegenerateSampleError:
             # extreme k can flatten the transform to a constant
             return math.nan

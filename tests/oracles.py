@@ -3,17 +3,21 @@
 Everything here recomputes pipeline quantities by a different route: plain
 Python loops for exposures and neighbor summaries, explicit normal equations
 for least squares, series/continued-fraction evaluation for the incomplete
-gamma, a per-cell design-matrix loop for grid imputation, and a 50-digit
-mpmath re-derivation of the whole estimation pipeline.  A period block's
-sparse matrix is read through scipy's CSR.
+gamma, a per-cell design-matrix loop for grid imputation, a 50-digit
+mpmath re-derivation of the whole estimation pipeline, and a bootstrap that
+runs each replicate on its resample with the repeats themselves.  A period
+block's sparse matrix is read through scipy's CSR.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import scipy.sparse
 
+from netjps.errors import NetjpsError
+from netjps.jps import GridPolicy, run_jps, run_naive
 from netjps.linear_model import build_outcome_matrix, normal_density
 from netjps.transforms import boxcox_apply
 
@@ -132,6 +136,30 @@ def loop_impute(theta, variant, dataset, k, z_model, x_z, z_grid,
             unit_mg[ig] = cell(dataset.z, gv, phi_obs, normal_density(gv, gmean_obs, sigma_g))
     marginal_g = None if unit_mg is None else unit_mg.mean(axis=1)
     return surface, unit_mz.mean(axis=1), marginal_g
+
+
+def subset_bootstrap(dataset, config, point, b, seed, level=0.95):
+    """Percentile bounds of ``bootstrap_drf``'s replicates, each run on its
+    n-row resample with the repeated rows repeated: {curve: (lo, hi)} for
+    the point estimate's curves among surface, marginal_z and marginal_g.
+    Failed replicates are dropped."""
+    with_g = point.g_grid is not None
+    grid = GridPolicy(z_values=tuple(point.z_grid),
+                      g_values=tuple(point.g_grid) if with_g else None)
+    config = replace(config, grid=grid)
+    names = ("surface", "marginal_z", "marginal_g") if with_g else ("marginal_z",)
+    reps = {name: [] for name in names}
+    for r in range(b):
+        idx = np.random.default_rng((seed, r)).integers(0, dataset.n, size=dataset.n)
+        try:
+            drf = (run_jps if with_g else run_naive)(dataset.subset(idx), config).drf
+        except NetjpsError:
+            continue
+        for name in names:
+            reps[name].append(getattr(drf, name))
+    alpha = (1.0 - level) / 2.0
+    return {name: tuple(np.quantile(np.array(curves), q, axis=0) for q in (alpha, 1.0 - alpha))
+            for name, curves in reps.items()}
 
 
 def moment_skewness(x):

@@ -12,6 +12,8 @@ from netjps.jps import GridPolicy, JpsConfig, run_jps, run_naive
 from netjps import bootstrap as bootstrap_mod
 from netjps.synth import OutcomeRule, Scenario, generate, scenario_confounded, scenario_quadratic
 
+from oracles import subset_bootstrap
+
 
 def small_panel(seed=0, n_units=120, **kw):
     base = dict(
@@ -43,6 +45,39 @@ class TestDeterminism:
         b1 = bootstrap_drf(ds, cfg, point, b=25, seed=42)
         b2 = bootstrap_drf(ds, cfg, point, b=25, seed=43)
         assert not np.array_equal(b1.marginal_z_lo, b2.marginal_z_lo)
+
+
+class TestWeightedReplicates:
+    @pytest.mark.parametrize("run", [run_jps, run_naive])
+    def test_bands_match_the_replicated_resamples(self, run):
+        # a replicate on its distinct rows with draw counts as weights gives
+        # the bands of the same replicate run on its n rows, repeats included
+        ds, cfg, _ = small_panel(seed=4, n_units=300)
+        point = run(ds, cfg).drf
+        bands = bootstrap_drf(ds, cfg, point, b=20, seed=8)
+        assert bands.b_effective == 20
+        oracle = subset_bootstrap(ds, cfg, point, b=20, seed=8)
+        for name, (lo, hi) in oracle.items():
+            for got, want in ((getattr(bands, f"{name}_lo"), lo), (getattr(bands, f"{name}_hi"), hi)):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_replicate_fits_the_distinct_drawn_rows(self, monkeypatch):
+        ds, cfg, point = small_panel()
+        seen = []
+
+        def recording(dataset, config):
+            seen.append(dataset)
+            return run_jps(dataset, config)
+
+        monkeypatch.setattr(bootstrap_mod, "run_jps", recording)
+        bootstrap_drf(ds, cfg, point, b=3, seed=1)
+        for r, sample in enumerate(seen):
+            counts = np.bincount(np.random.default_rng((1, r)).integers(0, ds.n, size=ds.n),
+                                 minlength=ds.n)
+            rows = np.flatnonzero(counts)
+            assert np.array_equal(sample.z, ds.z[rows])
+            assert np.array_equal(sample.weights, counts[rows])
+            assert sample.n < ds.n and sample.weights.sum() == ds.n
 
 
 class TestBands:

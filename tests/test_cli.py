@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,8 @@ from netjps.config import (
 from netjps.errors import ConfigError
 from netjps.io import write_edges_csv, write_panel_csv
 from netjps.jps import ContrastSpec, GridPolicy, JpsConfig, run_jps
-from netjps.synth import OutcomeRule, Scenario, generate
+from netjps.linear_model import DOT_BLOCK
+from netjps.synth import OutcomeRule, Scenario, generate, generate_sparse
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -200,6 +202,15 @@ class TestConfig:
             with pytest.raises(ConfigError, match=r"^cfg: columns\.outcome and columns\.treatment "
                                                   rf"both bind column '{column}'$"):
                 parse_config(text, source="cfg")
+        # a neighbor summary named like a bound column
+        for text, binding, name in (("neighborhood.y = sum:in:x0\n", "outcome", "y"),
+                                    ("neighborhood.z = count:in:x0\n", "treatment", "z"),
+                                    ("neighborhood.unit = sum:out:x0\n", "unit", "unit"),
+                                    ("columns.period = t\nneighborhood.t = sum:in:x0\n",
+                                     "period", "t")):
+            with pytest.raises(ConfigError, match=rf"^cfg: neighborhood\.{name} is named like "
+                                                  rf"columns\.{binding}$"):
+                parse_config(text, source="cfg")
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -349,14 +360,11 @@ class TestCommands:
         assert ((both / "naive_marginal_z.csv").read_bytes()
                 == (naive / "drf_marginal_z.csv").read_bytes())
 
-    def test_drf_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # 4000 rows on a 60 x 60 grid: a plain BLAS product of the surface's
-        # unit blocks sums in an order that changes with the thread count
-        ds, adj = generate(Scenario(
-            n_units=1000, n_periods=4, edge_prob=0.005, weight_log_mean=5.3,
-            weight_log_sd=0.4, n_covariates=2, treatment_coefs=(0.2, -0.1),
-            outcome=OutcomeRule(z=1.0, g=0.5, x=(0.1, 0.1)), seed=11))
-        assert ds.n >= 4000
+    @staticmethod
+    def drf_json_per_blas_threads(tmp_path, panel, grid_size):
+        """drf.json of ``netjps drf`` (B = 3, a grid_size^2 grid) on the
+        (dataset, graph) ``panel``, with OPENBLAS_NUM_THREADS 1 and 2."""
+        ds, adj = panel
         write_panel_csv(ds, tmp_path / "panel.csv")
         write_edges_csv(adj, tmp_path / "edges.csv")
         env = dict(os.environ)
@@ -367,7 +375,8 @@ class TestCommands:
             runfile = write(tmp_path / f"threads{threads}.cfg", RUN_CONFIG.format(
                 panel=tmp_path / "panel.csv", edges=tmp_path / "edges.csv",
                 out=rundir, variant="jps", b=3,
-            ).replace("grid.n_z = 8", "grid.n_z = 60").replace("grid.n_g = 6", "grid.n_g = 60"))
+            ).replace("grid.n_z = 8", f"grid.n_z = {grid_size}")
+             .replace("grid.n_g = 6", f"grid.n_g = {grid_size}"))
             proc = subprocess.run(
                 [sys.executable, "-m", "netjps.cli", "drf", "--config", runfile],
                 env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True,
@@ -375,6 +384,28 @@ class TestCommands:
             assert proc.returncode == 0, proc.stderr
             docs.append((rundir / "drf.json").read_bytes())
         assert json.loads(docs[0])["bands"]["b_effective"] == 3
+        return docs
+
+    def test_drf_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 4000 rows on a 60 x 60 grid: a plain BLAS product of the surface's
+        # unit blocks sums in an order that changes with the thread count
+        panel = generate(Scenario(
+            n_units=1000, n_periods=4, edge_prob=0.005, weight_log_mean=5.3,
+            weight_log_sd=0.4, n_covariates=2, treatment_coefs=(0.2, -0.1),
+            outcome=OutcomeRule(z=1.0, g=0.5, x=(0.1, 0.1)), seed=11))
+        assert panel[0].n >= 4000
+        docs = self.drf_json_per_blas_threads(tmp_path, panel, 60)
+        assert docs[0] == docs[1]
+
+    def test_drf_bytes_do_not_depend_on_blas_threads_above_one_dot_block(self, tmp_path):
+        # 12000 rows: OpenBLAS threads one ddot over them, so a residual sum
+        # of squares taken as one dot changes sigma's bits with the thread count
+        panel = generate_sparse(Scenario(
+            n_units=6000, n_periods=2, weight_log_mean=math.log(6000 / 5),
+            weight_log_sd=0.4, n_covariates=2, treatment_coefs=(0.2, -0.1),
+            outcome=OutcomeRule(z=1.0, g=0.5, x=(0.1, 0.1)), seed=11), 5)
+        assert panel[0].n > DOT_BLOCK
+        docs = self.drf_json_per_blas_threads(tmp_path, panel, 6)
         assert docs[0] == docs[1]
 
     def test_drf_loads_no_scipy_and_no_lazy_numpy(self, simulated, tmp_path):
@@ -488,8 +519,8 @@ class TestCommands:
         resamples = []
         subset = PanelDataset.subset
 
-        def recording_subset(self, idx):
-            resamples.append(subset(self, idx))
+        def recording_subset(self, idx, weights=None):
+            resamples.append(subset(self, idx, weights))
             return resamples[-1]
 
         monkeypatch.setattr(PanelDataset, "subset", recording_subset)
@@ -607,6 +638,8 @@ class TestErrorContract:
              ": grid.lower_pct must be below grid.upper_pct"),
             ("drf", "out = o\ncolumns.outcome = z\n",
              ": columns.outcome and columns.treatment both bind column 'z'"),
+            ("drf", "out = o\ncolumns.x_z = x0, y\nneighborhood.y = sum:in:x0\n",
+             ": neighborhood.y is named like columns.outcome"),
         ):
             bad = write(tmp_path / "bad.cfg", text)
             assert main([cmd, "--config", bad]) == 2

@@ -49,6 +49,24 @@ class TestPanelDataset:
         with pytest.raises(InputError, match="non-finite g"):
             replace(ds, g=np.where(np.arange(ds.n) == 2, bad, 1.0))
 
+    @pytest.mark.parametrize("weights, message", [
+        ([1.0, 2.0, 1.0], r"weights have shape \(3,\), expected \(4,\)"),
+        ([1.0, 0.0, 1.0, 1.0], "positive and finite"),
+        ([1.0, -1.0, 1.0, 1.0], "positive and finite"),
+        ([1.0, np.nan, 1.0, 1.0], "positive and finite"),
+        ([1.0, np.inf, 1.0, 1.0], "positive and finite"),
+    ])
+    def test_bad_weights_rejected(self, weights, message):
+        with pytest.raises(InputError, match=message):
+            replace(small_dataset(), weights=weights)
+
+    def test_subset_carries_weights(self):
+        ds = small_dataset().subset([3, 0], weights=[2, 5])
+        assert ds.weights.dtype == float and list(ds.weights) == [2.0, 5.0]
+        assert list(ds.subset([1, 1]).weights) == [5.0, 5.0]
+        assert list(ds.subset([0], weights=[3]).weights) == [6.0]
+        assert small_dataset().subset([0, 1]).weights is None
+
     def test_unique_keys(self):
         check_unique_keys(small_dataset())
         dup = PanelDataset(units=["a", "a"], periods=[1, 1], y=[0.0, 1.0],

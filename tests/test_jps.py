@@ -459,6 +459,45 @@ class TestNaive:
             effects(drf, ContrastSpec(g_pairs=((0.1, 0.2),)))
 
 
+class TestFrequencyWeights:
+    @pytest.mark.parametrize("run", [run_jps, run_naive])
+    def test_integer_weights_match_the_replicated_panel(self, run):
+        # weights 1-3 on 700 rows, which span two unit blocks, against each
+        # row repeated that often, on the unweighted run's grid
+        def y_rule(z, g, x, rng):
+            return 1.0 + z - 0.2 * z**2 + 0.5 * g + 0.1 * x[:, 0] + rng.normal(0, 0.1, z.size)
+
+        ds = make_dataset(n=700, seed=91, beta_z=(0.3, -0.2, 0.1), y_rule=y_rule)
+        counts = np.random.default_rng(5).integers(1, 4, size=ds.n)
+        point = run(ds, config_for(ds, GridPolicy(n_z=7, n_g=6))).drf
+        cfg = config_for(ds, GridPolicy(
+            z_values=tuple(point.z_grid),
+            g_values=None if point.g_grid is None else tuple(point.g_grid)))
+        weighted = run(ds.subset(np.arange(ds.n), weights=counts), cfg)
+        replicated = run(ds.subset(np.repeat(np.arange(ds.n), counts)), cfg)
+
+        def close(got, want):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+        close(weighted.gps.boxcox.k, replicated.gps.boxcox.k)
+        fits = ("z_model", "g_model") if run is run_jps else ("z_model",)
+        for got, want in [(getattr(weighted.gps, f), getattr(replicated.gps, f)) for f in fits] + [
+                (weighted.outcome, replicated.outcome)]:
+            close(got.theta, want.theta)
+            close(got.sigma, want.sigma)
+            assert got.n == want.n
+        curves = ("surface", "marginal_z", "marginal_g") if run is run_jps else ("marginal_z",)
+        for name in curves:
+            close(getattr(weighted.drf, name), getattr(replicated.drf, name))
+
+    @pytest.mark.parametrize("run", [run_jps, run_naive])
+    def test_weighted_panel_needs_explicit_grid(self, run):
+        ds = make_dataset(n=50, seed=93)
+        weighted = ds.subset(np.arange(ds.n), weights=np.full(ds.n, 2.0))
+        with pytest.raises(InputError, match="weighted panel needs explicit z grid values"):
+            run(weighted, config_for(ds))
+
+
 class TestDensePipelineOracle:
     def test_small_instance_matches_50_digit_reimplementation(self):
         sc = synth.Scenario(
