@@ -6,7 +6,10 @@ network from a multiset of nodes is ill-defined), and re-run the full
 pipeline on the grid of the point estimate the caller passes in.  A
 replicate runs on its distinct drawn rows, about 63% of the panel, each
 weighted by how often it was drawn: every stage then computes what it would
-on the resample with its repeats, up to rounding.  Replicate
+on the resample with its repeats, up to rounding.  Each replicate starts
+its zero-skewness root search at the full panel's k, solved once per call:
+a resample's root lies close to it, so the search brackets it in a few
+steps where the point estimate's cold start takes several.  Replicate
 r draws from a stream seeded by (seed, r), so execution order and parallel
 fan-out cannot change the result; replicate outputs are sorted before the
 percentile step.  The bands hold only the bounds and replicate counts: the
@@ -21,6 +24,7 @@ import numpy.random  # noqa: F401  lazy in numpy: load it at import, not in repl
 
 from .errors import BootstrapError, InputError, NetjpsError
 from .jps import GridPolicy, outside_support, run_jps, run_naive
+from .transforms import boxcox_zero_skew
 
 logger = logging.getLogger(__name__)
 
@@ -84,7 +88,8 @@ def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
         z_values=tuple(point.z_grid),
         g_values=tuple(point.g_grid) if with_g else None,
     )
-    rep_config = replace(config, grid=fixed_grid)
+    rep_config = replace(config, grid=fixed_grid,
+                         boxcox_start=boxcox_zero_skew(dataset.z, dataset.weights)[0].k)
 
     n = dataset.n
     surfaces, mzs, mgs = [], [], []

@@ -192,8 +192,8 @@ def cmd_balance(cfg):
     dataset = _load_dataset(cfg)
     out = _outdir(cfg)
     config = _jps_config(cfg)
-    gps = jps.fit_treatment_models(dataset, config)
-    scores = jps.predict_scores(gps, dataset)
+    gps, designs = jps.fit_treatment_models(dataset, config)
+    scores = jps.predict_scores(gps, dataset, designs)
     report = balance_mod.balance_check(dataset, gps, scores)
     io_mod.write_json(report.to_payload(), out / "balance.json")
     print(report.format_table())

@@ -81,13 +81,17 @@ class PanelDataset:
             object.__setattr__(derived, "_keys", self._keys)
         return derived
 
-    def covariate_matrix(self, names):
+    def covariate_matrix(self, names, out=None):
+        """The named covariates as the columns of a new (n, len(names))
+        array, or written into ``out``'s columns."""
         missing = [nm for nm in names if nm not in self.covariates]
         if missing:
             raise UnboundColumnError(f"covariates not in dataset: {missing}")
-        if not names:
-            return np.empty((self.n, 0))
-        return np.column_stack([self.covariates[nm] for nm in names])
+        if out is None:
+            out = np.empty((self.n, len(names)))
+        for j, nm in enumerate(names):
+            out[:, j] = self.covariates[nm]
+        return out
 
     def covariate_names(self):
         return tuple(self.covariates.keys())

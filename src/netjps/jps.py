@@ -14,13 +14,15 @@ scores, so every imputed average (a surface cell, a point of a marginal
 curve, the naive curve) is theta . the unit means of the outcome terms
 (:func:`netjps.linear_model.outcome_terms` is the polynomial's one
 definition).  Grid imputation therefore forms only unit sums of score
-powers, accumulated over blocks of ``UNIT_BLOCK`` units, so its working
-memory is O((n_z + n_g) * UNIT_BLOCK) whatever the panel's size.  The
-surface's neighborhood-score sums factor into products over the units,
-which take O((n_z + n_g) * n) exps where a direct evaluation takes one per
-unit and cell.  Every contraction over units is a set of BLAS dot products
-(``np.vecdot``) of at most ``UNIT_BLOCK`` terms each, so each output sums
-in one fixed order whatever the BLAS thread count.
+powers, accumulated over blocks of units sized from the grid by an
+element budget (:func:`_unit_block`), so its working memory is
+O(max(``BLOCK_ELEMENTS``, (n_z + n_g) * ``UNIT_BLOCK``)) whatever the
+panel's size.  The surface's neighborhood-score sums factor into products
+over the units, which take O((n_z + n_g) * n) exps where a direct
+evaluation takes one per unit and cell.  Every contraction over units is a
+set of BLAS dot products (``np.vecdot``) of at most one block, and so at
+most ``DOT_BLOCK``, terms each, so each output sums in one fixed order
+whatever the BLAS thread count.
 
 Every stage reads the dataset's frequency weights: the Box-Cox root and the
 OLS fits through their ``weights``, and every unit mean of imputation as
@@ -36,6 +38,7 @@ import numpy.ma  # noqa: F401  lazy in numpy, loaded by np.percentile: load it a
 
 from .errors import DegenerateExposureError, DomainError, InputError
 from .linear_model import (
+    DOT_BLOCK,
     LinearFit,
     build_outcome_matrix,
     fit_ols,
@@ -95,11 +98,14 @@ def outside_support(grid, obs):
 
 @dataclass(frozen=True)
 class JpsConfig:
-    """Covariate bindings and grid policy for one estimation run."""
+    """Covariate bindings and grid policy for one estimation run, and where
+    the Box-Cox root search starts: None for the cold bracket, or a nearby
+    root's k (a bootstrap replicate gets the full panel's)."""
 
     x_z: tuple
     x_g: tuple
     grid: GridPolicy = field(default_factory=GridPolicy)
+    boxcox_start: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x_z", tuple(self.x_z))
@@ -200,21 +206,42 @@ def finite_argmax(values):
     return int(np.argmax(np.where(finite, values, -np.inf))) if finite.any() else None
 
 
-def _design(dataset, names):
-    mat = dataset.covariate_matrix(list(names))
-    return np.column_stack([np.ones(dataset.n), mat]), ("const", *names)
+@dataclass(frozen=True)
+class TreatmentDesigns:
+    """The arrays stage 1 fits on one dataset and stage 2 evaluates the
+    scores with: the transformed treatment z*, the Z*-design (const, *x_z)
+    and the G-design (const, *x_g, z), None without a G-model."""
+
+    zstar: np.ndarray
+    xz: np.ndarray
+    xg: np.ndarray | None = None
 
 
-def _fit_z_model(dataset, x_z):
+def _design(dataset, names, z=None):
+    """The design (const, *names), with the treatment ``z`` as its last
+    column if given, filled into one Fortran-order array; and its column
+    names."""
+    cols = ("const", *names) if z is None else ("const", *names, "z")
+    x = np.empty((dataset.n, len(cols)), order="F")
+    x[:, 0] = 1.0
+    dataset.covariate_matrix(names, out=x[:, 1:len(names) + 1])
+    if z is not None:
+        x[:, -1] = z
+    return x, cols
+
+
+def _fit_z_model(dataset, config):
     """The individual-treatment model of both estimators: the zero-skewness
-    Box-Cox root and the OLS fit of Z* on (const, *x_z)."""
-    bc, zstar = boxcox_zero_skew(dataset.z, dataset.weights)
-    xz, names_z = _design(dataset, x_z)
-    return bc, fit_ols(xz, zstar, names=names_z, weights=dataset.weights)
+    Box-Cox root, searched from ``config.boxcox_start``, and the OLS fit of
+    Z* on (const, *x_z).  Returns the transform, the fit, z* and the design."""
+    bc, zstar = boxcox_zero_skew(dataset.z, dataset.weights, config.boxcox_start)
+    xz, names_z = _design(dataset, config.x_z)
+    return bc, fit_ols(xz, zstar, names=names_z, weights=dataset.weights), zstar, xz
 
 
 def fit_treatment_models(dataset, config):
-    """Stage 1: Gaussian models for both treatments.
+    """Stage 1: Gaussian models for both treatments, and the
+    :class:`TreatmentDesigns` they were fitted on, for stage 2.
 
     The individual treatment is transformed to zero skewness first; the
     neighborhood-treatment design always includes the individual treatment.
@@ -225,18 +252,21 @@ def fit_treatment_models(dataset, config):
             "all exposures identical; the joint model is unidentified - "
             "use the no-interference estimator (variant = naive)"
         )
-    bc, z_model = _fit_z_model(dataset, config.x_z)
-    xg, names_g = _design(dataset, config.x_g)
-    g_model = fit_ols(np.column_stack([xg, dataset.z]), g, names=(*names_g, "z"),
-                      weights=dataset.weights)
-    return GpsFit(boxcox=bc, z_model=z_model, g_model=g_model)
+    bc, z_model, zstar, xz = _fit_z_model(dataset, config)
+    xg, names_g = _design(dataset, config.x_g, dataset.z)
+    g_model = fit_ols(xg, g, names=names_g, weights=dataset.weights)
+    gps = GpsFit(boxcox=bc, z_model=z_model, g_model=g_model)
+    return gps, TreatmentDesigns(zstar=zstar, xz=xz, xg=xg)
 
 
-def predict_scores(gps, dataset):
+def predict_scores(gps, dataset, designs):
     """Stage 2: both scores evaluated at each unit's observed treatments,
     with the per-unit conditional means they are evaluated at: the Z* mean
     and base_g, the G mean without its beta_gz * z term.  Without a G-model
     there is only the individual score.
+
+    ``designs`` are the :class:`TreatmentDesigns` that stage 1 returned on
+    this dataset.
 
     The individual score is the Gaussian density of the transformed
     treatment (no Jacobian back to the raw scale: the score only enters the
@@ -244,15 +274,13 @@ def predict_scores(gps, dataset):
     """
     if gps.z_model.sigma <= 0:
         raise DomainError("individual-treatment residual scale is zero; scores degenerate")
-    xz, _ = _design(dataset, gps.x_z)
-    mean_zstar = xz @ gps.z_model.theta
-    phi = normal_density(boxcox_apply(dataset.z, gps.boxcox.k), mean_zstar, gps.z_model.sigma)
+    mean_zstar = designs.xz @ gps.z_model.theta
+    phi = normal_density(designs.zstar, mean_zstar, gps.z_model.sigma)
     if gps.g_model is None:
         return PropensityScores(phi=phi, lam=None, mean_zstar=mean_zstar)
     if gps.g_model.sigma <= 0:
         raise DomainError("neighborhood-treatment residual scale is zero; scores degenerate")
-    xg_base, _ = _design(dataset, gps.x_g)
-    base_g = xg_base @ gps.g_model.theta[:-1]
+    base_g = designs.xg[:, :-1] @ gps.g_model.theta[:-1]
     lam = normal_density(dataset.require_g(), base_g + gps.g_model.coef("z") * dataset.z,
                          gps.g_model.sigma)
     return PropensityScores(phi=phi, lam=lam, mean_zstar=mean_zstar, base_g=base_g)
@@ -266,11 +294,18 @@ def fit_outcome(dataset, scores):
     return fit_ols(x, dataset.y, names=names, weights=dataset.weights)
 
 
-# Units per block of every unit sum in grid imputation.  It also bounds the
-# length of every np.vecdot contraction, which numpy runs as one BLAS ddot
-# per output value for float64, so the output's bits do not depend on the
-# BLAS thread count as long as UNIT_BLOCK <= DOT_BLOCK.
+# Units per block of every unit sum in grid imputation (:func:`_unit_block`):
+# at least UNIT_BLOCK, and as many more as keep (n_z + n_g) * block within
+# the element budget BLOCK_ELEMENTS, so a 60 x 60 grid keeps 512-unit
+# blocks and a smaller grid sums in fewer, longer ones.  A block of b units
+# fills two (n_z, b) and two (n_g, b) buffers, so the budget bounds
+# imputation's working memory; on a grid of more than 120 points the floor
+# does.  The block also bounds the length of every np.vecdot contraction,
+# which numpy runs as one BLAS ddot per output value for float64, so the
+# output's bits do not depend on the BLAS thread count as long as the block
+# is at most DOT_BLOCK.
 UNIT_BLOCK = 512
+BLOCK_ELEMENTS = 120 * UNIT_BLOCK
 
 # A surface tile spans at most h = this many sigma_g either side of its
 # centre, in base_g and in g.  At the third power of the score its factors
@@ -297,15 +332,23 @@ def _peak_powers(sd):
     return np.array([peak, peak * peak, peak * peak * peak])
 
 
-def _block_buffers(rows, n):
-    """The two (rows, UNIT_BLOCK) arrays that every block of n units writes
-    its grid axis's values into, allocated once per imputation call."""
-    return np.empty((2, rows, min(n, UNIT_BLOCK)))
+def _unit_block(nz, ng):
+    """Units per imputation block on an n_z x n_g grid (n_g = 0 for a
+    z-only one): as many as ``BLOCK_ELEMENTS`` allows, at least
+    ``UNIT_BLOCK`` and at most ``DOT_BLOCK``."""
+    return min(DOT_BLOCK, max(UNIT_BLOCK, BLOCK_ELEMENTS // (nz + ng)))
+
+
+def _block_buffers(rows, n, block):
+    """The two (rows, block) arrays that every block of n units writes its
+    grid axis's values into, allocated once per imputation call; their
+    width is the block length of every unit sum that uses them."""
+    return np.empty((2, rows, min(n, block)))
 
 
 def _row_sums(block, weights):
     """Sums of a block's rows over its units, or with the units' frequency
-    weights their dots with them: one ddot per row, at most UNIT_BLOCK
+    weights their dots with them: one ddot per row, at most one unit block
     long, so a fixed sum order."""
     return block.sum(axis=1) if weights is None else np.vecdot(block, weights)
 
@@ -314,16 +357,17 @@ def _density_means(x, means, sd, buffers, factor=None, weights=None):
     """Unit means of N(x_j; means_i, sd)^k for k = 1, 2, 3, and of
     factor_i * N(x_j; means_i, sd) when ``factor`` is given: the rows of a
     (3 or 4, x.size) array, weighted by the units' frequency ``weights``
-    if any.  The densities are formed one block of ``UNIT_BLOCK`` units at
-    a time in ``buffers`` (:func:`_block_buffers`).
+    if any.  The densities are formed one block of units at a time in
+    ``buffers`` (:func:`_block_buffers`), as wide as the block.
     """
     n = means.size
     dens, pw = buffers
+    block = dens.shape[1]
     sums = np.zeros((3 if factor is None else 4, x.size))
     if factor is not None and weights is not None:
         factor = factor * weights
-    for lo in range(0, n, UNIT_BLOCK):
-        units = slice(lo, min(lo + UNIT_BLOCK, n))
+    for lo in range(0, n, block):
+        units = slice(lo, min(lo + block, n))
         m = units.stop - lo
         w = None if weights is None else weights[units]
         d = np.subtract(x[:, None], means[units], out=dens[:, :m])
@@ -356,7 +400,7 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers, wei
 
     Units sorted by base_g and the g grid are cut into runs no wider than
     2 * ``_TILE_HALF_WIDTH`` * sigma, the unit runs also no longer than
-    ``UNIT_BLOCK``; a tile pairs one of each, measured from its own
+    the buffers' block; a tile pairs one of each, measured from its own
     centres.  Within a tile, b_i is the unit's base_g and y the cell's g
     from those centres, and d_i = base_g_i + beta * z - (g centre).  The
     exponent -(y - d_i)^2 / 2 sigma^2 then splits into a (z, unit) factor
@@ -369,7 +413,7 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers, wei
     so a cell keeps every value the direct exp keeps, and one far from
     every unit of the tile gets exactly 0 there without touching the other
     rows.  The products are formed by ``np.vecdot``, one BLAS dot of at
-    most ``UNIT_BLOCK`` terms per cell, whose summation order does not
+    most one block's terms per cell, whose summation order does not
     depend on the BLAS thread count.  U and V are written into the z-axis
     and g-axis :func:`_block_buffers`.  A unit's frequency weight, if any,
     multiplies its V factor.
@@ -387,7 +431,7 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers, wei
     v, v_pow = g_buffers
     prod = np.empty((3, nz, ng))
     powers_k = np.array([1.0, 2.0, 3.0])[:, None, None]
-    for units in _runs(b_sorted, span, UNIT_BLOCK):
+    for units in _runs(b_sorted, span, u.shape[1]):
         b_mid = 0.5 * (b_sorted[units.start] + b_sorted[units.stop - 1])
         b = b_sorted[units] - b_mid
         m = b.size
@@ -455,7 +499,8 @@ def impute_drf(gps, scores, outcome, dataset, grid):
     n, nz, ng = dataset.n, z_grid.size, g_grid.size
     theta = outcome.theta
 
-    z_buffers, g_buffers = _block_buffers(nz, n), _block_buffers(ng, n)
+    block = _unit_block(nz, ng)
+    z_buffers, g_buffers = _block_buffers(nz, n, block), _block_buffers(ng, n, block)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _phi_means(z_grid, gps.boxcox.k, mean_zstar, sigma_z, z_buffers, weights)
         # lambda_i(G_i | z) = N(beta * z; G_i - base_g_i, sigma_g)
@@ -558,8 +603,8 @@ class JpsResult:
 
 def run_jps(dataset, config):
     """Stages 1-5 in sequence."""
-    gps = fit_treatment_models(dataset, config)
-    scores = predict_scores(gps, dataset)
+    gps, designs = fit_treatment_models(dataset, config)
+    scores = predict_scores(gps, dataset, designs)
     outcome = fit_outcome(dataset, scores)
     drf = impute_drf(gps, scores, outcome, dataset, config.grid)
     return JpsResult(gps=gps, scores=scores, outcome=outcome, drf=drf)
@@ -573,13 +618,15 @@ def run_naive(dataset, config):
     The individual-treatment model is fitted exactly as in
     :func:`fit_treatment_models`.
     """
-    gps = GpsFit(*_fit_z_model(dataset, config.x_z), g_model=None)
-    scores = predict_scores(gps, dataset)
+    bc, z_model, zstar, xz = _fit_z_model(dataset, config)
+    gps = GpsFit(boxcox=bc, z_model=z_model, g_model=None)
+    scores = predict_scores(gps, dataset, TreatmentDesigns(zstar=zstar, xz=xz))
     outcome = fit_outcome(dataset, scores)
     z_grid, _ = config.grid.resolve(dataset.z, weighted=dataset.weights is not None)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _phi_means(z_grid, gps.boxcox.k, scores.mean_zstar, gps.z_model.sigma,
-                         _block_buffers(z_grid.size, dataset.n), dataset.weights)
+                         _block_buffers(z_grid.size, dataset.n, _unit_block(z_grid.size, 0)),
+                         dataset.weights)
         marginal_z = outcome_value(outcome.theta, outcome_terms(
             powers(z_grid), None, tuple(phi), None))
     drf = DrfGrid(

@@ -91,9 +91,10 @@ def sum_of_squares(r):
 def fit_ols(x, y, names=None, weights=None):
     """Least-squares fit of ``y`` on the columns of ``x``.
 
-    With frequency ``weights`` row i counts weights[i] times, as if
-    repeated: the rows of [x | y] are scaled by sqrt(weights) before the
-    one QR.
+    [x | y] is copied into one Fortran-order buffer, which numpy's QR
+    reads column by column without a transpose copy.  With frequency
+    ``weights`` row i counts weights[i] times, as if repeated: the buffer's
+    rows are scaled by sqrt(weights) before the one QR.
 
     Raises
     ------
@@ -118,14 +119,17 @@ def fit_ols(x, y, names=None, weights=None):
     if len(names) != p:
         raise InputError("need one name per design column")
     weights = frequency_weights(weights, n)
+    xy = np.empty((n, p + 1), order="F")
+    xy[:, :p] = x
+    xy[:, p] = y
     total = n
     if weights is not None:
-        root = np.sqrt(weights)
-        x, y = x * root[:, None], y * root
+        xy *= np.sqrt(weights)[:, None]
         total = float(weights.sum())
+    x, y = xy[:, :p], xy[:, p]
 
     # one QR of [x | y]: R is the top-left p x p block, Q^T y its last column
-    r_xy = np.linalg.qr(np.column_stack([x, y]), mode="r")
+    r_xy = np.linalg.qr(xy, mode="r")
     r, qty = r_xy[:p, :p], r_xy[:p, p]
     # every pivoted R diagonal is >= sigma_min(R), and the largest is the
     # largest column norm: with a factor 2 to spare for rounding, the rank
@@ -215,9 +219,10 @@ def outcome_value(theta, terms):
 
 def build_outcome_matrix(z, g, phi, lam):
     """Stacked outcome-model design rows for vector inputs (scalars
-    broadcast): one column per :func:`outcome_terms` term, named by
-    ``WITH_INTERFERENCE_TERMS``, or by ``WITHOUT_INTERFERENCE_TERMS`` when
-    ``g`` is None (``lam`` is then ignored).
+    broadcast), filled into one Fortran-order array: one column per
+    :func:`outcome_terms` term, named by ``WITH_INTERFERENCE_TERMS``, or by
+    ``WITHOUT_INTERFERENCE_TERMS`` when ``g`` is None (``lam`` is then
+    ignored).
     """
     inputs = {"z": z, "phi": phi}
     if g is not None:
@@ -230,4 +235,7 @@ def build_outcome_matrix(z, g, phi, lam):
     g_powers, lam_powers = (powers(g_lam[0]), powers(g_lam[1])) if g_lam else (None, None)
     terms = outcome_terms(powers(z), g_powers, powers(phi), lam_powers)
     names = WITH_INTERFERENCE_TERMS if g_lam else WITHOUT_INTERFERENCE_TERMS
-    return np.column_stack([np.broadcast_to(t, z.shape).ravel() for t in terms]), names
+    x = np.empty((z.size, len(terms)), order="F")
+    for j, term in enumerate(terms):
+        x[:, j] = np.ravel(term)
+    return x, names

@@ -72,13 +72,20 @@ class BoxCoxFit:
             )
 
 
-def boxcox_zero_skew(z, weights=None):
+# Reach of the root search: the cold bracket [-5, 5], doubled four times.
+_K_REACH = 80.0
+
+
+def boxcox_zero_skew(z, weights=None, k_start=None):
     """Find k with skewness((z^k - 1)/k) = 0 and return (fit, transformed);
     the skewness is weighted by the rows' frequency ``weights``, if any.
 
-    Bracketed root search on k over [-5, 5], with bracket doubling before
-    failure: Illinois (modified false-position) steps, falling back to the
-    bracket midpoint whenever the secant point leaves the open bracket;
+    Bracketed root search on k: the bracket starts at [-5, 5], or at
+    k_start +- 1/8 when a nearby root is known (a bootstrap replicate starts
+    at the full panel's k), and doubles its half-width about that centre,
+    clipped to [-80, 80], until the skewness changes sign across it.
+    Illinois (modified false-position) steps then shrink it, falling back to
+    the bracket midpoint whenever the secant point leaves the open bracket;
     terminates when |skewness| < 1e-8.
     """
     z = np.asarray(z, dtype=float)
@@ -90,29 +97,40 @@ def boxcox_zero_skew(z, weights=None):
     logz = np.log(z)
 
     def s(k):
+        # extreme k can overflow the transform or its moments, or flatten
+        # the transform to a constant: no skewness there
         with np.errstate(over="ignore", invalid="ignore"):
             t = _boxcox_from_log(logz, k)
-        if not np.all(np.isfinite(t)):
-            return math.nan
-        try:
-            return skewness(t, weights)
-        except DegenerateSampleError:
-            # extreme k can flatten the transform to a constant
-            return math.nan
+            if not np.all(np.isfinite(t)):
+                return math.nan
+            try:
+                value = skewness(t, weights)
+            except DegenerateSampleError:
+                return math.nan
+        return value if math.isfinite(value) else math.nan
 
     def bracketed(a, b):
         return not (math.isnan(a) or math.isnan(b)) and (a > 0) != (b > 0)
 
-    lo, hi = -5.0, 5.0
+    if k_start is None:
+        centre, half = 0.0, 5.0
+    elif math.isfinite(k_start):
+        centre, half = min(max(float(k_start), -_K_REACH), _K_REACH), 0.125
+    else:
+        raise InputError(f"root search start k={k_start} is not finite")
+    lo, hi = max(centre - half, -_K_REACH), min(centre + half, _K_REACH)
     s_lo, s_hi = s(lo), s(hi)
-    for _ in range(4):  # doubling stops at [-80, 80]
-        if bracketed(s_lo, s_hi):
-            break
-        ns_lo, ns_hi = s(lo * 2), s(hi * 2)
-        if not math.isnan(ns_lo):
-            lo, s_lo = lo * 2, ns_lo
-        if not math.isnan(ns_hi):
-            hi, s_hi = hi * 2, ns_hi
+    # an endpoint whose skewness is non-finite keeps the last finite one
+    while not bracketed(s_lo, s_hi) and (centre - half > -_K_REACH or centre + half < _K_REACH):
+        if centre - half > -_K_REACH:
+            k = max(centre - 2 * half, -_K_REACH)
+            if not math.isnan(s_k := s(k)):
+                lo, s_lo = k, s_k
+        if centre + half < _K_REACH:
+            k = min(centre + 2 * half, _K_REACH)
+            if not math.isnan(s_k := s(k)):
+                hi, s_hi = k, s_k
+        half *= 2
     if not bracketed(s_lo, s_hi):
         raise NoRootError(
             "no zero-skewness root bracketed: "

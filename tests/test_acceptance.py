@@ -260,8 +260,8 @@ def test_criterion_7_balance_calibration():
         def run_check(sc, wrong_scores=False):
             ds, _ = synth.generate(sc)
             cfg = JpsConfig(x_z=sc.covariate_names(), x_g=sc.covariate_names())
-            gps = fit_treatment_models(ds, cfg)
-            scores = predict_scores(gps, ds)
+            gps, designs = fit_treatment_models(ds, cfg)
+            scores = predict_scores(gps, ds, designs)
             if wrong_scores:
                 scores = PropensityScores(phi=np.full(ds.n, 0.4), lam=np.full(ds.n, 0.4))
             return balance_check(ds, gps, scores).rejects(0.05)

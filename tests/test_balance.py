@@ -67,8 +67,8 @@ def _fitted(scenario_fn, seed):
     sc = scenario_fn(seed)
     ds, _ = generate(sc)
     cfg = JpsConfig(x_z=sc.covariate_names(), x_g=sc.covariate_names())
-    gps = fit_treatment_models(ds, cfg)
-    scores = predict_scores(gps, ds)
+    gps, designs = fit_treatment_models(ds, cfg)
+    scores = predict_scores(gps, ds, designs)
     return ds, gps, scores
 
 
@@ -132,8 +132,8 @@ class TestBalanceCheck:
         sc = scenario_null(3)
         ds, _ = generate(sc)
         cfg = JpsConfig(x_z=(), x_g=())
-        gps = fit_treatment_models(ds, cfg)
-        scores = predict_scores(gps, ds)
+        gps, designs = fit_treatment_models(ds, cfg)
+        scores = predict_scores(gps, ds, designs)
         report = balance_check(ds, gps, scores)
         assert report.step1.skipped and report.step1.df == 0
         assert report.step2.skipped and report.step2.df == 0

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netjps import cli, errors
+from netjps import cli, errors, jps
 from netjps.cli import main
 from netjps.config import (
     BootstrapSettings,
@@ -386,15 +386,28 @@ class TestCommands:
         assert json.loads(docs[0])["bands"]["b_effective"] == 3
         return docs
 
-    def test_drf_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # 4000 rows on a 60 x 60 grid: a plain BLAS product of the surface's
-        # unit blocks sums in an order that changes with the thread count
-        panel = generate(Scenario(
+    @staticmethod
+    def four_thousand_rows():
+        return generate(Scenario(
             n_units=1000, n_periods=4, edge_prob=0.005, weight_log_mean=5.3,
             weight_log_sd=0.4, n_covariates=2, treatment_coefs=(0.2, -0.1),
             outcome=OutcomeRule(z=1.0, g=0.5, x=(0.1, 0.1)), seed=11))
+
+    def test_drf_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 4000 rows on a 60 x 60 grid: a plain BLAS product of the surface's
+        # unit blocks sums in an order that changes with the thread count
+        panel = self.four_thousand_rows()
         assert panel[0].n >= 4000
         docs = self.drf_json_per_blas_threads(tmp_path, panel, 60)
+        assert docs[0] == docs[1]
+
+    def test_drf_bytes_do_not_depend_on_blas_threads_in_grid_sized_blocks(self, tmp_path):
+        # a 20 x 20 grid takes unit blocks longer than UNIT_BLOCK, each
+        # contraction still one single-threaded ddot
+        panel = self.four_thousand_rows()
+        block = jps._unit_block(20, 20)
+        assert jps.UNIT_BLOCK < block <= DOT_BLOCK and panel[0].n > block
+        docs = self.drf_json_per_blas_threads(tmp_path, panel, 20)
         assert docs[0] == docs[1]
 
     def test_drf_bytes_do_not_depend_on_blas_threads_above_one_dot_block(self, tmp_path):

@@ -17,7 +17,8 @@ from netjps.jps import (
     run_jps,
     run_naive,
 )
-from netjps.linear_model import WITHOUT_INTERFERENCE_TERMS, build_outcome_matrix
+from netjps.linear_model import DOT_BLOCK, WITHOUT_INTERFERENCE_TERMS, build_outcome_matrix
+from netjps.transforms import boxcox_apply
 from netjps import jps, synth
 
 from oracles import dense_pipeline, loop_impute
@@ -51,7 +52,7 @@ class TestTreatmentModels:
     def test_design_shapes_match_covariate_count(self):
         # 14 covariates: 15-column individual fit, 16-column neighborhood fit
         ds = make_dataset(n=300, k_cov=14, seed=5)
-        gps = fit_treatment_models(ds, config_for(ds))
+        gps, _ = fit_treatment_models(ds, config_for(ds))
         assert len(gps.z_model.theta) == 15
         assert len(gps.g_model.theta) == 16
         assert gps.g_model.names[-1] == "z"
@@ -59,7 +60,7 @@ class TestTreatmentModels:
     def test_null_slopes_within_3se(self):
         # Z independent of X: every covariate slope within 3 standard errors of 0
         ds = make_dataset(n=2000, k_cov=3, seed=11, beta_z=(0, 0, 0))
-        gps = fit_treatment_models(ds, config_for(ds))
+        gps, _ = fit_treatment_models(ds, config_for(ds))
         x = np.column_stack([np.ones(ds.n)] + [ds.covariates[f"x{j}"] for j in range(3)])
         dof = ds.n - x.shape[1]
         sigma2 = gps.z_model.rss / dof
@@ -76,7 +77,7 @@ class TestTreatmentModels:
             units=np.arange(n, dtype=object), periods=np.zeros(n, dtype=object),
             y=rng.normal(size=n), z=z, covariates={}, g=g,
         )
-        gps = fit_treatment_models(ds, JpsConfig(x_z=(), x_g=()))
+        gps, _ = fit_treatment_models(ds, JpsConfig(x_z=(), x_g=()))
         assert gps.g_model.coef("z") == pytest.approx(0.5, abs=0.05)
 
     def test_degenerate_exposure_rejected(self):
@@ -94,53 +95,53 @@ class TestTreatmentModels:
 class TestScores:
     def test_unit_at_conditional_mean_hits_peak_density(self):
         ds = make_dataset(seed=7)
-        gps = fit_treatment_models(ds, config_for(ds))
-        scores = predict_scores(gps, ds)
+        gps, designs = fit_treatment_models(ds, config_for(ds))
+        scores = predict_scores(gps, ds, designs)
         peak = 1.0 / (gps.z_model.sigma * np.sqrt(2 * np.pi))
         assert np.all(scores.phi <= peak + 1e-12)
         assert np.all(scores.phi > 0) and np.all(scores.lam > 0)
 
     def test_unit_placed_at_conditional_mean_scores_exactly_peak(self):
         ds = make_dataset(seed=7)
-        gps = fit_treatment_models(ds, config_for(ds))
+        gps, designs = fit_treatment_models(ds, config_for(ds))
         # move one unit's treatment to its fitted conditional mean
         xz = np.column_stack([np.ones(ds.n)] + [ds.covariates[f"x{j}"] for j in range(3)])
         mean_zstar = xz @ gps.z_model.theta
         z2 = ds.z.copy()
         k = gps.boxcox.k
         z2[0] = np.exp(np.log1p(k * mean_zstar[0]) / k)  # the inverse transform
-        scores = predict_scores(gps, replace(ds, z=z2))
+        scores = predict_scores(gps, replace(ds, z=z2), replace(designs, zstar=boxcox_apply(z2, k)))
         peak = 1.0 / (gps.z_model.sigma * np.sqrt(2 * np.pi))
         assert scores.phi[0] == pytest.approx(peak, rel=1e-9)
 
     def test_doubling_sigma_halves_peak(self):
         ds = make_dataset(seed=7)
-        gps = fit_treatment_models(ds, config_for(ds))
+        gps, designs = fit_treatment_models(ds, config_for(ds))
         doubled = replace(
             gps,
             g_model=replace(gps.g_model, sigma=2 * gps.g_model.sigma),
         )
-        base_g = predict_scores(gps, ds).lam
+        base_g = predict_scores(gps, ds, designs).lam
         # a unit sitting exactly at its conditional mean has lam = peak
         peak1 = 1.0 / (gps.g_model.sigma * np.sqrt(2 * np.pi))
         peak2 = 1.0 / (doubled.g_model.sigma * np.sqrt(2 * np.pi))
         assert peak2 == pytest.approx(peak1 / 2)
-        assert np.all(predict_scores(doubled, ds).lam <= peak2 + 1e-12)
+        assert np.all(predict_scores(doubled, ds, designs).lam <= peak2 + 1e-12)
         assert np.all(base_g <= peak1 + 1e-12)
 
     def test_zero_sigma_errors(self):
         ds = make_dataset(seed=7)
-        gps = fit_treatment_models(ds, config_for(ds))
+        gps, designs = fit_treatment_models(ds, config_for(ds))
         broken = replace(gps, z_model=replace(gps.z_model, sigma=0.0))
         with pytest.raises(DomainError, match="degenerate"):
-            predict_scores(broken, ds)
+            predict_scores(broken, ds, designs)
 
 
 class TestOutcomeFit:
     def test_exact_recovery_from_design_truth(self):
         ds = make_dataset(seed=3)
-        gps = fit_treatment_models(ds, config_for(ds))
-        scores = predict_scores(gps, ds)
+        gps, designs = fit_treatment_models(ds, config_for(ds))
+        scores = predict_scores(gps, ds, designs)
         mat, _ = build_outcome_matrix(ds.z, ds.g, scores.phi, scores.lam)
         theta = np.linspace(-1, 2, 16)
         ds2 = replace(ds, y=mat @ theta)
@@ -163,14 +164,15 @@ class TestOutcomeFit:
 
     def test_requires_exposures(self):
         ds = make_dataset(seed=3)
-        scores = predict_scores(fit_treatment_models(ds, config_for(ds)), ds)
+        gps, designs = fit_treatment_models(ds, config_for(ds))
+        scores = predict_scores(gps, ds, designs)
         with pytest.raises(InputError, match="attach_exposure"):
             fit_outcome(replace(ds, g=None), scores)
 
     def test_permutation_invariance(self):
         ds = make_dataset(seed=13)
-        gps = fit_treatment_models(ds, config_for(ds))
-        scores = predict_scores(gps, ds)
+        gps, designs = fit_treatment_models(ds, config_for(ds))
+        scores = predict_scores(gps, ds, designs)
         fit1 = fit_outcome(ds, scores)
         perm = np.random.default_rng(0).permutation(ds.n)
         ds_p = ds.subset(perm)
@@ -335,9 +337,9 @@ class TestImputeAndMarginals:
         assert naive.meta["flagged_cells"] == []
 
     def test_score_means_computed_once_per_run(self, monkeypatch):
-        # stage 2 hands its conditional means to imputation through the
-        # scores: each treatment model's design is built once to fit it and
-        # once to evaluate its score, and never in imputation
+        # stage 1 hands its designs to stage 2, and stage 2 its conditional
+        # means to imputation through the scores: each treatment model's
+        # design is built once, to fit it, and evaluates its score too
         calls = []
         design = jps._design
 
@@ -348,15 +350,38 @@ class TestImputeAndMarginals:
         monkeypatch.setattr(jps, "_design", counted)
         ds = make_dataset(n=200, seed=43)
         res = run_jps(ds, config_for(ds, GridPolicy(n_z=3, n_g=3)))
-        assert len(calls) == 4
+        assert len(calls) == 2
         with pytest.raises(InputError, match="predict_scores"):
             impute_drf(res.gps, replace(res.scores, base_g=None), res.outcome, ds, GridPolicy())
 
     def test_unit_block_bounds_single_threaded_blas_dot(self):
         # OpenBLAS runs a ddot of at most 10000 terms on one thread; np.vecdot
-        # contractions of at most UNIT_BLOCK terms therefore sum in one order
+        # contractions of at most one unit block therefore sum in one order
         # whatever the BLAS thread count
         assert jps.UNIT_BLOCK <= 10_000
+        assert jps._unit_block(1, 1) <= DOT_BLOCK == 10_000
+        assert jps._unit_block(1, 0) <= DOT_BLOCK
+        # a 60 x 60 grid keeps 512-unit blocks, a larger one no shorter
+        assert jps._unit_block(60, 60) == 512
+        assert jps._unit_block(300, 300) >= 512
+
+    def test_grid_sized_blocks_match_unit_blocks_of_512(self, monkeypatch):
+        # a 20 x 20 grid sums 2000 units in blocks of 1536, the z-only
+        # curve in blocks of 3072: the same means as blocks of 512, regrouped.
+        # Each output is theta . those means, a sum that cancels to near 0
+        # in some cells: its error is relative to the output's largest value
+        ds = make_dataset(n=2000, seed=5)
+        cfg = config_for(ds, GridPolicy(n_z=20, n_g=20))
+        assert jps._unit_block(20, 20) > 512 and jps._unit_block(20, 0) > 512
+        runs = [run_jps(ds, cfg).drf, run_naive(ds, cfg).drf]
+        monkeypatch.setattr(jps, "_unit_block", lambda nz, ng: 512)
+        runs += [run_jps(ds, cfg).drf, run_naive(ds, cfg).drf]
+        joint, naive, joint512, naive512 = runs
+        pairs = [(getattr(joint, name), getattr(joint512, name))
+                 for name in ("surface", "marginal_z", "marginal_g")]
+        for got, want in [*pairs, (naive.marginal_z, naive512.marginal_z)]:
+            assert not np.array_equal(got, want)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_non_finite_imputation_input_rejected(self):
         ds = make_dataset(n=200, seed=43)

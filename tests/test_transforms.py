@@ -4,8 +4,10 @@ import scipy.optimize
 import scipy.stats
 from hypothesis import assume, given, strategies as st
 
-from netjps.errors import DegenerateSampleError, DomainError, NoRootError
+from netjps import synth, transforms
+from netjps.errors import DegenerateSampleError, DomainError, InputError, NoRootError
 from netjps.transforms import (
+    SKEW_TOL,
     boxcox_apply,
     boxcox_zero_skew,
     skewness,
@@ -139,3 +141,70 @@ class TestZeroSkewFit:
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             boxcox_zero_skew(np.array([1.0, 0.0, 2.0]))
+
+
+def bootstrap_resamples(dataset, count, seed=0):
+    """The first ``count`` replicate panels, drawn as the bootstrap draws
+    them: the distinct drawn rows, weighted by their draw counts."""
+    n = dataset.n
+    for r in range(count):
+        counts = np.bincount(np.random.default_rng((seed, r)).integers(0, n, size=n),
+                             minlength=n)
+        rows = np.flatnonzero(counts)
+        yield dataset.subset(rows, weights=counts[rows])
+
+
+class TestWarmStart:
+    @pytest.fixture(scope="class")
+    def panel(self):
+        dataset, _ = synth.generate(synth.scenario_confounded(1))
+        return dataset, boxcox_zero_skew(dataset.z)[0].k
+
+    def test_replicate_roots_match_the_cold_start(self, panel):
+        dataset, k_point = panel
+        for sample in bootstrap_resamples(dataset, 20):
+            cold, _ = boxcox_zero_skew(sample.z, sample.weights)
+            warm, _ = boxcox_zero_skew(sample.z, sample.weights, k_point)
+            assert warm.k == pytest.approx(cold.k, abs=1e-6)
+            assert abs(cold.skewness) < SKEW_TOL and abs(warm.skewness) < SKEW_TOL
+
+    def test_warm_roots_evaluate_the_skewness_less_often(self, panel, monkeypatch):
+        dataset, k_point = panel
+        calls = []
+        counted = transforms.skewness
+
+        def counting(*args):
+            calls.append(None)
+            return counted(*args)
+
+        monkeypatch.setattr(transforms, "skewness", counting)
+        evals = {}
+        for start in (None, k_point):
+            calls.clear()
+            for sample in bootstrap_resamples(dataset, 20):
+                boxcox_zero_skew(sample.z, sample.weights, start)
+            evals[start] = len(calls)
+        assert evals[k_point] < evals[None]
+
+    def test_distant_start_still_finds_the_root(self):
+        # the log restores symmetry on a log-normal sample: its root is near 0
+        z = np.exp(np.random.default_rng(11).normal(size=2000))
+        cold, _ = boxcox_zero_skew(z)
+        warm, zstar = boxcox_zero_skew(z, k_start=40.0)
+        assert abs(cold.k) < 0.1
+        assert warm.k == pytest.approx(cold.k, abs=1e-6)
+        assert abs(skewness(zstar)) < SKEW_TOL
+
+    def test_errors_do_not_depend_on_the_start(self):
+        for z in (np.full(50, 2.5), np.array([1.0, 1.0, 1.0, 2.0])):
+            with pytest.raises(NoRootError) as cold:
+                boxcox_zero_skew(z)
+            for start in (0.0, 3.0, -40.0, 1e3):
+                with pytest.raises(NoRootError) as warm:
+                    boxcox_zero_skew(z, k_start=start)
+                assert type(warm.value) is type(cold.value)
+                assert str(warm.value) == str(cold.value)
+
+    def test_non_finite_start_rejected(self):
+        with pytest.raises(InputError, match="not finite"):
+            boxcox_zero_skew(np.array([1.0, 2.0, 4.0]), k_start=np.nan)
