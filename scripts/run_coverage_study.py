@@ -45,7 +45,7 @@ def main():
     widths = np.zeros(z_points.size)
     for t in range(args.datasets):
         ds, _ = synth.generate(replace(sc, seed=20_000 + args.seed + t))
-        bands = bootstrap_drf(ds, cfg, run_jps(ds, cfg).drf, b=args.replicates,
+        bands = bootstrap_drf(ds, cfg, run_jps(ds, cfg), b=args.replicates,
                               seed=args.seed + t)
         hits += (bands.marginal_z_lo <= oracle.marginal_z) & (
             oracle.marginal_z <= bands.marginal_z_hi

@@ -6,14 +6,15 @@ network from a multiset of nodes is ill-defined), and re-run the full
 pipeline on the grid of the point estimate the caller passes in.  A
 replicate runs on its distinct drawn rows, about 63% of the panel, each
 weighted by how often it was drawn: every stage then computes what it would
-on the resample with its repeats, up to rounding.  Each replicate starts
-its zero-skewness root search at the full panel's k, solved once per call:
-a resample's root lies close to it, so the search brackets it in a few
-steps where the point estimate's cold start takes several.  Replicate
-r draws from a stream seeded by (seed, r), so execution order and parallel
-fan-out cannot change the result; replicate outputs are sorted before the
-percentile step.  The bands hold only the bounds and replicate counts: the
-grids and curves they surround stay in the caller's point estimate.
+on the resample with its repeats, up to rounding, with the code that made
+the point estimate.  Each replicate starts its zero-skewness root search at
+the point estimate's k: a resample's root lies close to it, so the search
+brackets it in a few steps where the point estimate's cold start takes
+several.  Replicate r draws from a stream seeded by (seed, r), so execution
+order and parallel fan-out cannot change the result; replicate outputs are
+sorted before the percentile step.  The bands hold only the bounds and
+replicate counts: the grids and curves they surround stay in the caller's
+point estimate.
 """
 
 import logging
@@ -24,7 +25,6 @@ import numpy.random  # noqa: F401  lazy in numpy: load it at import, not in repl
 
 from .errors import BootstrapError, InputError, NetjpsError
 from .jps import GridPolicy, outside_support, run_jps, run_naive
-from .transforms import boxcox_zero_skew
 
 logger = logging.getLogger(__name__)
 
@@ -69,27 +69,28 @@ def _percentiles(stack, level):
 def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
     """Nonparametric bootstrap of the full pipeline around ``point``.
 
-    ``point`` is the :class:`~netjps.jps.DrfGrid` that ``run_jps`` or
-    ``run_naive`` produced from ``dataset`` and ``config``; a z-only grid
-    (``g_grid`` None) selects the no-interference pipeline.  Failed
-    replicates (singular designs, degenerate transforms) are dropped and
-    counted; more than 20% failures aborts with diagnostics.  Replicates
-    whose resampled values the grid reaches outside are logged as one count
-    that names the estimator.
+    ``point`` is the :class:`~netjps.jps.JpsResult` that ``run_jps`` or
+    ``run_naive`` produced from ``dataset`` and ``config``: its grids are
+    the replicates' grids, a z-only grid (``g_grid`` None) selects the
+    no-interference pipeline, and its Box-Cox k starts each replicate's root
+    search.  Failed replicates (singular designs, degenerate transforms) are
+    dropped and counted; more than 20% failures aborts with diagnostics.
+    Replicates whose resampled values the grid reaches outside are logged as
+    one count that names the estimator.
     """
     if b < 2:
         raise InputError("bootstrap needs B >= 2 replicates")
     if not 0 < level < 1:
         raise InputError("confidence level must be in (0, 1)")
 
-    with_g = point.g_grid is not None
+    drf = point.drf
+    with_g = drf.g_grid is not None
     run = run_jps if with_g else run_naive
     fixed_grid = GridPolicy(
-        z_values=tuple(point.z_grid),
-        g_values=tuple(point.g_grid) if with_g else None,
+        z_values=tuple(drf.z_grid),
+        g_values=tuple(drf.g_grid) if with_g else None,
     )
-    rep_config = replace(config, grid=fixed_grid,
-                         boxcox_start=boxcox_zero_skew(dataset.z, dataset.weights)[0].k)
+    rep_config = replace(config, grid=fixed_grid, boxcox_start=point.gps.boxcox.k)
 
     n = dataset.n
     surfaces, mzs, mgs = [], [], []
@@ -105,8 +106,8 @@ def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
         except NetjpsError as exc:
             failure_log.append((r, exc.code, str(exc)))
             continue
-        outside += bool(outside_support(point.z_grid, sample.z)
-                        or with_g and outside_support(point.g_grid, sample.g))
+        outside += bool(outside_support(drf.z_grid, sample.z)
+                        or with_g and outside_support(drf.g_grid, sample.g))
         mzs.append(rep.drf.marginal_z)
         if with_g:
             surfaces.append(rep.drf.surface)
@@ -114,7 +115,7 @@ def bootstrap_drf(dataset, config, point, b, seed, level=0.95):
 
     if outside:
         logger.warning("%s estimator: the grid extends outside the resampled support "
-                       "in %d of %d replicates", point.estimator, outside, b)
+                       "in %d of %d replicates", drf.estimator, outside, b)
     failures = len(failure_log)
     if failures > _MAX_FAILURE_FRACTION * b:
         detail = "; ".join(f"replicate {r}: [{code}] {msg}" for r, code, msg in failure_log[:5])

@@ -164,9 +164,10 @@ def cmd_drf(cfg):
     result, nres = _run_variants(cfg, config, dataset)
     io_mod.write_json(_fit_summary(cfg, dataset.n, result, nres), out / "fit_summary.json")
 
-    drfs = [res.drf for res in (result, nres) if res is not None]
-    _log_support(drfs[0], dataset)
-    for i, drf in enumerate(drfs):
+    results = [res for res in (result, nres) if res is not None]
+    _log_support(results[0].drf, dataset)
+    for i, res in enumerate(results):
+        drf = res.drf
         _log_flagged(drf)
         stem = "drf" if i == 0 else "naive"
         with_g = drf.g_grid is not None
@@ -174,7 +175,7 @@ def cmd_drf(cfg):
                              else jps.ContrastSpec(z_pairs=cfg.contrasts.z_pairs))
         bands = None
         if cfg.bootstrap.b >= 2:
-            bands = bootstrap_mod.bootstrap_drf(dataset, config, drf, cfg.bootstrap.b,
+            bands = bootstrap_mod.bootstrap_drf(dataset, config, res, cfg.bootstrap.b,
                                                 cfg.bootstrap.seed, level=cfg.bootstrap.level)
         if with_g:
             io_mod.write_drf_surface_csv(drf, out / f"{stem}_surface.csv", bands=bands)

@@ -16,10 +16,10 @@ class PanelDataset:
     """Outcome, treatment, covariates and (once computed) exposure per row.
 
     Row order is preserved everywhere; nothing in the pipeline re-sorts it.
-    ``g`` is None until exposures are attached.  ``weights`` are optional
-    positive frequency weights, one per row: every estimation stage counts
-    row i weights[i] times, as if it were repeated.  None counts each row
-    once, with the unweighted arithmetic.
+    ``g`` is None until exposures are attached.  ``weights`` are positive
+    frequency weights, one per row, 1 each unless given: every estimation
+    stage counts row i weights[i] times, as if it were repeated, with the
+    same arithmetic whatever the weights.
     """
 
     units: np.ndarray
@@ -111,8 +111,7 @@ class PanelDataset:
         ``weights[j]``.  The bootstrap takes each replicate's distinct
         drawn rows, weighted by how often each was drawn."""
         idx = np.asarray(idx)
-        if self.weights is not None:
-            weights = self.weights[idx] if weights is None else self.weights[idx] * weights
+        weights = self.weights[idx] if weights is None else self.weights[idx] * weights
         return PanelDataset(
             units=self.units[idx],
             periods=self.periods[idx],

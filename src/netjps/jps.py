@@ -24,10 +24,11 @@ set of BLAS dot products (``np.vecdot``) of at most one block, and so at
 most ``DOT_BLOCK``, terms each, so each output sums in one fixed order
 whatever the BLAS thread count.
 
-Every stage reads the dataset's frequency weights: the Box-Cox root and the
+Every stage runs one weighted arithmetic on the dataset's frequency
+weights, which are 1 for each row unless given: the Box-Cox root and the
 OLS fits through their ``weights``, and every unit mean of imputation as
-sum_i w_i x_i / sum_i w_i.  Without weights each stage runs the unweighted
-arithmetic; with them, only its sums differ.
+sum_i w_i x_i / sum_i w_i.  The point estimate and each bootstrap replicate
+therefore run the same code.
 """
 
 import math
@@ -67,10 +68,12 @@ class GridPolicy:
         if not self.lower_pct < self.upper_pct:
             raise InputError("grid lower_pct must be below upper_pct")
 
-    def resolve(self, z_obs, g_obs=None, weighted=False):
-        """The z and g grids; a weighted panel has no empirical percentiles
-        here, so its grids must be explicit."""
-        z_grid = self._axis(self.z_values, self.n_z, z_obs, "z", weighted)
+    def resolve(self, dataset, g_obs=None):
+        """The z grid on ``dataset``, and the g grid on ``g_obs`` if given.
+        Empirical percentiles count each row once, so a panel whose weights
+        are not all 1 (a bootstrap replicate) needs explicit grid values."""
+        weighted = bool(np.any(dataset.weights != 1))
+        z_grid = self._axis(self.z_values, self.n_z, dataset.z, "z", weighted)
         g_grid = None
         if g_obs is not None:
             g_grid = self._axis(self.g_values, self.n_g, g_obs, "g", weighted)
@@ -346,51 +349,45 @@ def _block_buffers(rows, n, block):
     return np.empty((2, rows, min(n, block)))
 
 
-def _row_sums(block, weights):
-    """Sums of a block's rows over its units, or with the units' frequency
-    weights their dots with them: one ddot per row, at most one unit block
-    long, so a fixed sum order."""
-    return block.sum(axis=1) if weights is None else np.vecdot(block, weights)
-
-
-def _density_means(x, means, sd, buffers, factor=None, weights=None):
+def _density_means(x, means, sd, buffers, weights, factor=None):
     """Unit means of N(x_j; means_i, sd)^k for k = 1, 2, 3, and of
     factor_i * N(x_j; means_i, sd) when ``factor`` is given: the rows of a
-    (3 or 4, x.size) array, weighted by the units' frequency ``weights``
-    if any.  The densities are formed one block of units at a time in
-    ``buffers`` (:func:`_block_buffers`), as wide as the block.
+    (3 or 4, x.size) array, weighted by the units' frequency ``weights``.
+    The densities are formed one block of units at a time in ``buffers``
+    (:func:`_block_buffers`), as wide as the block, and each row's sum over
+    a block is one ddot with the block's weights, so a fixed sum order.
     """
     n = means.size
     dens, pw = buffers
     block = dens.shape[1]
     sums = np.zeros((3 if factor is None else 4, x.size))
-    if factor is not None and weights is not None:
+    if factor is not None:
         factor = factor * weights
     for lo in range(0, n, block):
         units = slice(lo, min(lo + block, n))
         m = units.stop - lo
-        w = None if weights is None else weights[units]
+        w = weights[units]
         d = np.subtract(x[:, None], means[units], out=dens[:, :m])
         d *= d
         d *= -0.5 / (sd * sd)
         np.exp(d, out=d)
         p = np.multiply(d, d, out=pw[:, :m])
-        sums[0] += _row_sums(d, w)
-        sums[1] += _row_sums(p, w)
-        sums[2] += _row_sums(np.multiply(p, d, out=p), w)
+        sums[0] += np.vecdot(d, w)
+        sums[1] += np.vecdot(p, w)
+        sums[2] += np.vecdot(np.multiply(p, d, out=p), w)
         if factor is not None:
             sums[3] += np.vecdot(d, factor[units])
     peaks = _peak_powers(sd)
     sums[:3] /= peaks[:, None]
     sums[3:] /= peaks[0]
-    return sums / (n if weights is None else weights.sum())
+    return sums / weights.sum()
 
 
 def _phi_means(z_grid, boxcox_k, mean_zstar, sigma_z, buffers, weights):
     """Unit means of phi_i(z)^k, k = 1, 2, 3, at each z: the individual-score
     part of the joint surface, of its z-marginal and of the naive curve."""
     return _density_means(boxcox_apply(z_grid, boxcox_k), mean_zstar, sigma_z, buffers,
-                          weights=weights)
+                          weights)
 
 
 def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers, weights):
@@ -415,14 +412,11 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers, wei
     rows.  The products are formed by ``np.vecdot``, one BLAS dot of at
     most one block's terms per cell, whose summation order does not
     depend on the BLAS thread count.  U and V are written into the z-axis
-    and g-axis :func:`_block_buffers`.  A unit's frequency weight, if any,
+    and g-axis :func:`_block_buffers`.  A unit's frequency weight
     multiplies its V factor.
     """
-    if weights is None:
-        b_sorted = np.sort(base_g)
-    else:
-        order = np.argsort(base_g)
-        b_sorted, w_sorted = base_g[order], weights[order]
+    order = np.argsort(base_g)
+    b_sorted, w_sorted = base_g[order], weights[order]
     nz, ng = z_grid.size, g_grid.size
     span = 2.0 * _TILE_HALF_WIDTH * sigma
     var = sigma * sigma
@@ -453,17 +447,15 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers, wei
             np.exp(vv, out=vv)
             gap = y - d_star[:, None]
             e = -0.5 * (gap * gap + 2.0 * y * b_star[:, None]) / var
-            uk, vk, out = uu, vv, prod[:, :, :nc]
-            if weights is not None:
-                vk = np.multiply(vv, w_sorted[units], out=vt)
+            uk, out = uu, prod[:, :, :nc]
+            vk = np.multiply(vv, w_sorted[units], out=vt)
             for k in range(3):
                 if k:
                     uk = np.multiply(uk, uu, out=ut)
                     vk = np.multiply(vk, vv, out=vt)
                 np.vecdot(uk[:, None, :], vk[None, :, :], out=out[k])
             sums[:, :, cells] += np.exp(powers_k * e + np.log(out))
-    total = b_sorted.size if weights is None else weights.sum()
-    return sums / _peak_powers(sigma)[:, None, None] / total
+    return sums / _peak_powers(sigma)[:, None, None] / weights.sum()
 
 
 def impute_drf(gps, scores, outcome, dataset, grid):
@@ -493,7 +485,7 @@ def impute_drf(gps, scores, outcome, dataset, grid):
     if scores.mean_zstar is None or scores.base_g is None or scores.base_g.size != dataset.n:
         raise InputError("imputation needs the scores that predict_scores gives on this dataset")
     g_obs, weights = dataset.require_g(), dataset.weights
-    z_grid, g_grid = grid.resolve(dataset.z, g_obs, weighted=weights is not None)
+    z_grid, g_grid = grid.resolve(dataset, g_obs)
     mean_zstar, base_g, beta_gz = scores.mean_zstar, scores.base_g, gps.g_model.coef("z")
     sigma_z, sigma_g = gps.z_model.sigma, gps.g_model.sigma
     n, nz, ng = dataset.n, z_grid.size, g_grid.size
@@ -504,10 +496,10 @@ def impute_drf(gps, scores, outcome, dataset, grid):
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _phi_means(z_grid, gps.boxcox.k, mean_zstar, sigma_z, z_buffers, weights)
         # lambda_i(G_i | z) = N(beta * z; G_i - base_g_i, sigma_g)
-        lam_z = _density_means(beta_gz * z_grid, g_obs - base_g, sigma_g, z_buffers,
-                               factor=g_obs, weights=weights)
+        lam_z = _density_means(beta_gz * z_grid, g_obs - base_g, sigma_g, z_buffers, weights,
+                               factor=g_obs)
         lam_g = _density_means(g_grid, base_g + beta_gz * dataset.z, sigma_g, g_buffers,
-                               weights=weights)
+                               weights)
         lam = _lambda_means(z_grid, g_grid, base_g, beta_gz, sigma_g, z_buffers, g_buffers,
                             weights)
         surface = outcome_value(theta, outcome_terms(
@@ -622,7 +614,7 @@ def run_naive(dataset, config):
     gps = GpsFit(boxcox=bc, z_model=z_model, g_model=None)
     scores = predict_scores(gps, dataset, TreatmentDesigns(zstar=zstar, xz=xz))
     outcome = fit_outcome(dataset, scores)
-    z_grid, _ = config.grid.resolve(dataset.z, weighted=dataset.weights is not None)
+    z_grid, _ = config.grid.resolve(dataset)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _phi_means(z_grid, gps.boxcox.k, scores.mean_zstar, gps.z_model.sigma,
                          _block_buffers(z_grid.size, dataset.n, _unit_block(z_grid.size, 0)),

@@ -44,14 +44,15 @@ class LinearFit:
     """OLS coefficients with the maximum-likelihood residual scale.
 
     ``sigma`` is sqrt(RSS/n): the fitted values feed Gaussian density
-    evaluations, where the ML convention is the one that matters.  In a
-    weighted fit ``n`` is the weights' sum and ``rss`` the weighted sum of
-    squared residuals.
+    evaluations, where the ML convention is the one that matters.  ``n`` is
+    the number of rows counted, the frequency weights' sum (the row count
+    under weights of 1), an int whenever that sum is whole; ``rss`` is the
+    weighted sum of squared residuals.
     """
 
     theta: np.ndarray
     sigma: float
-    n: int
+    n: int | float
     rss: float
     names: tuple
 
@@ -66,9 +67,9 @@ class LinearFit:
 
 
 def frequency_weights(weights, n):
-    """``weights`` as n positive finite floats, or None for none."""
+    """``weights`` as n positive finite floats; None gives each row weight 1."""
     if weights is None:
-        return None
+        return np.ones(n)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (n,):
         raise InputError(f"weights have shape {weights.shape}, expected ({n},)")
@@ -77,10 +78,11 @@ def frequency_weights(weights, n):
     return weights
 
 
-def weighted_mean(x, weights=None):
-    """``x.mean()``, or sum(weights * x) / sum(weights): pairwise sums,
-    whose order does not depend on the BLAS thread count."""
-    return x.mean() if weights is None else (weights * x).sum() / weights.sum()
+def weighted_mean(x, weights):
+    """sum(weights * x) / sum(weights): pairwise sums, whose order does not
+    depend on the BLAS thread count; under weights of 1 the bits of
+    ``x.mean()``."""
+    return (weights * x).sum() / weights.sum()
 
 
 def sum_of_squares(r):
@@ -92,9 +94,9 @@ def fit_ols(x, y, names=None, weights=None):
     """Least-squares fit of ``y`` on the columns of ``x``.
 
     [x | y] is copied into one Fortran-order buffer, which numpy's QR
-    reads column by column without a transpose copy.  With frequency
-    ``weights`` row i counts weights[i] times, as if repeated: the buffer's
-    rows are scaled by sqrt(weights) before the one QR.
+    reads column by column without a transpose copy.  Row i counts
+    ``weights[i]`` times, as if repeated (once each without weights): the
+    buffer holds the rows scaled by sqrt(weights) for the one QR.
 
     Raises
     ------
@@ -119,14 +121,11 @@ def fit_ols(x, y, names=None, weights=None):
     if len(names) != p:
         raise InputError("need one name per design column")
     weights = frequency_weights(weights, n)
+    root_w = np.sqrt(weights)
     xy = np.empty((n, p + 1), order="F")
-    xy[:, :p] = x
-    xy[:, p] = y
-    total = n
-    if weights is not None:
-        xy *= np.sqrt(weights)[:, None]
-        total = float(weights.sum())
-    x, y = xy[:, :p], xy[:, p]
+    x = np.multiply(x, root_w[:, None], out=xy[:, :p])
+    y = np.multiply(y, root_w, out=xy[:, p])
+    total = float(weights.sum())
 
     # one QR of [x | y]: R is the top-left p x p block, Q^T y its last column
     r_xy = np.linalg.qr(xy, mode="r")
@@ -151,7 +150,8 @@ def fit_ols(x, y, names=None, weights=None):
     resid = y - x @ theta
     rss = sum_of_squares(resid)
     theta.setflags(write=False)
-    return LinearFit(theta=theta, sigma=math.sqrt(rss / total), n=total, rss=rss, names=names)
+    return LinearFit(theta=theta, sigma=math.sqrt(rss / total),
+                     n=int(total) if total.is_integer() else total, rss=rss, names=names)
 
 
 def _pivoted_qr_diagonal(r, x):

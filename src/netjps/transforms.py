@@ -78,12 +78,15 @@ _K_REACH = 80.0
 
 def boxcox_zero_skew(z, weights=None, k_start=None):
     """Find k with skewness((z^k - 1)/k) = 0 and return (fit, transformed);
-    the skewness is weighted by the rows' frequency ``weights``, if any.
+    the skewness is weighted by the rows' frequency ``weights`` (1 each
+    without).
 
     Bracketed root search on k: the bracket starts at [-5, 5], or at
     k_start +- 1/8 when a nearby root is known (a bootstrap replicate starts
-    at the full panel's k), and doubles its half-width about that centre,
-    clipped to [-80, 80], until the skewness changes sign across it.
+    at the point estimate's k), and doubles its half-width about that
+    centre, clipped to [-80, 80], until the skewness changes sign across it.
+    A start whose first bracket has a non-finite skewness at an end (a far
+    start, where the moments overflow) falls back to [-5, 5].
     Illinois (modified false-position) steps then shrink it, falling back to
     the bracket midpoint whenever the secant point leaves the open bracket;
     terminates when |skewness| < 1e-8.
@@ -95,6 +98,7 @@ def boxcox_zero_skew(z, weights=None, k_start=None):
         raise NoRootError("no zero-skewness root: the treatment has zero variance")
     # one log and one domain check per root, not per skewness evaluation
     logz = np.log(z)
+    weights = frequency_weights(weights, z.size)
 
     def s(k):
         # extreme k can overflow the transform or its moments, or flatten
@@ -112,14 +116,18 @@ def boxcox_zero_skew(z, weights=None, k_start=None):
     def bracketed(a, b):
         return not (math.isnan(a) or math.isnan(b)) and (a > 0) != (b > 0)
 
+    cold = (0.0, 5.0)
     if k_start is None:
-        centre, half = 0.0, 5.0
+        starts = [cold]
     elif math.isfinite(k_start):
-        centre, half = min(max(float(k_start), -_K_REACH), _K_REACH), 0.125
+        starts = [(min(max(float(k_start), -_K_REACH), _K_REACH), 0.125), cold]
     else:
         raise InputError(f"root search start k={k_start} is not finite")
-    lo, hi = max(centre - half, -_K_REACH), min(centre + half, _K_REACH)
-    s_lo, s_hi = s(lo), s(hi)
+    for centre, half in starts:
+        lo, hi = max(centre - half, -_K_REACH), min(centre + half, _K_REACH)
+        s_lo, s_hi = s(lo), s(hi)
+        if not (math.isnan(s_lo) or math.isnan(s_hi)):
+            break
     # an endpoint whose skewness is non-finite keeps the last finite one
     while not bracketed(s_lo, s_hi) and (centre - half > -_K_REACH or centre + half < _K_REACH):
         if centre - half > -_K_REACH:

@@ -210,7 +210,7 @@ def test_criterion_6_bootstrap_determinism():
         ds, _ = synth.generate(sc)
         cfg = JpsConfig(x_z=sc.covariate_names(), x_g=sc.covariate_names(),
                         grid=GridPolicy(n_z=6, n_g=5))
-        point = run_jps(ds, cfg).drf
+        point = run_jps(ds, cfg)
         b1 = bootstrap_drf(ds, cfg, point, b=30, seed=123)
         b2 = bootstrap_drf(ds, cfg, point, b=30, seed=123)
         assert np.array_equal(b1.surface_lo, b2.surface_lo)
@@ -239,7 +239,7 @@ def test_criterion_6_bootstrap_coverage():
         datasets = 100
         for t in range(datasets):
             ds, _ = synth.generate(replace(sc, seed=20_000 + t))
-            bands = bootstrap_drf(ds, cfg, run_jps(ds, cfg).drf, b=200, seed=t)
+            bands = bootstrap_drf(ds, cfg, run_jps(ds, cfg), b=200, seed=t)
             hits += (bands.marginal_z_lo <= oracle.marginal_z) & (
                 oracle.marginal_z <= bands.marginal_z_hi
             )

@@ -27,7 +27,7 @@ def small_panel(seed=0, n_units=120, **kw):
     ds, _ = generate(sc)
     cfg = JpsConfig(x_z=sc.covariate_names(), x_g=sc.covariate_names(),
                     grid=GridPolicy(n_z=6, n_g=5))
-    return ds, cfg, run_jps(ds, cfg).drf
+    return ds, cfg, run_jps(ds, cfg)
 
 
 class TestDeterminism:
@@ -53,24 +53,29 @@ class TestWeightedReplicates:
         # a replicate on its distinct rows with draw counts as weights gives
         # the bands of the same replicate run on its n rows, repeats included
         ds, cfg, _ = small_panel(seed=4, n_units=300)
-        point = run(ds, cfg).drf
+        point = run(ds, cfg)
         bands = bootstrap_drf(ds, cfg, point, b=20, seed=8)
         assert bands.b_effective == 20
-        oracle = subset_bootstrap(ds, cfg, point, b=20, seed=8)
+        oracle = subset_bootstrap(ds, cfg, point.drf, b=20, seed=8)
         for name, (lo, hi) in oracle.items():
             for got, want in ((getattr(bands, f"{name}_lo"), lo), (getattr(bands, f"{name}_hi"), hi)):
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
     def test_replicate_fits_the_distinct_drawn_rows(self, monkeypatch):
+        # on the point estimate's grids, from its Box-Cox root
         ds, cfg, point = small_panel()
         seen = []
 
         def recording(dataset, config):
             seen.append(dataset)
+            assert config.boxcox_start == point.gps.boxcox.k
+            assert config.grid.z_values == tuple(point.drf.z_grid)
+            assert config.grid.g_values == tuple(point.drf.g_grid)
             return run_jps(dataset, config)
 
         monkeypatch.setattr(bootstrap_mod, "run_jps", recording)
         bootstrap_drf(ds, cfg, point, b=3, seed=1)
+        assert len(seen) == 3
         for r, sample in enumerate(seen):
             counts = np.bincount(np.random.default_rng((1, r)).integers(0, ds.n, size=ds.n),
                                  minlength=ds.n)
@@ -113,10 +118,10 @@ class TestBands:
 
     def test_naive_variant_has_no_surface(self):
         ds, cfg, _ = small_panel(seed=6)
-        point = run_naive(ds, cfg).drf
+        point = run_naive(ds, cfg)
         bands = bootstrap_drf(ds, cfg, point, b=20, seed=2)
         assert bands.surface_lo is None and bands.marginal_g_lo is None
-        assert bands.marginal_z_lo.shape == point.marginal_z.shape
+        assert bands.marginal_z_lo.shape == point.drf.marginal_z.shape
 
     def test_flagged_cells_give_nan_bands(self):
         # z = 1e103 lies far outside the support: the point estimate flags
@@ -124,10 +129,11 @@ class TestBands:
         ds, _, _ = small_panel(seed=2)
         cfg = JpsConfig(x_z=("x0", "x1"), x_g=("x0", "x1"),
                         grid=GridPolicy(z_values=(1.0, 1e103), n_g=5))
-        point = run_jps(ds, cfg).drf
+        result = run_jps(ds, cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            bands = bootstrap_drf(ds, cfg, point, b=3, seed=1)
+            bands = bootstrap_drf(ds, cfg, result, b=3, seed=1)
+        point = result.drf
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)
                     and "invalid value" in str(w.message)]
         flagged = np.isnan(point.surface)
@@ -150,7 +156,7 @@ class TestLogging:
         names = sc.covariate_names()
         cfg = JpsConfig(x_z=names, x_g=names, grid=GridPolicy(z_values=(0.01, 1.0, 50.0)))
         with caplog.at_level(logging.WARNING, logger="netjps"):
-            point = run_jps(ds, cfg).drf
+            point = run_jps(ds, cfg)
             bootstrap_drf(ds, cfg, point, b=5, seed=1)
         lines = [r.getMessage() for r in caplog.records if "outside" in r.getMessage()]
         assert lines == ["joint estimator: the grid extends outside the resampled support "
@@ -183,7 +189,7 @@ class TestFailureHandling:
         assert bands.b_effective + bands.failures == bands.b
         assert {r for r, _, _ in bands.failure_log} == {1, 3}
         # drf.json carries the log as [replicate, error code, message]
-        assert jsonable(drf_payload(point, bands=bands))["bands"]["failure_log"] == [
+        assert jsonable(drf_payload(point.drf, bands=bands))["bands"]["failure_log"] == [
             [1, "singular-design", "synthetic failure"],
             [3, "singular-design", "synthetic failure"],
         ]
@@ -213,7 +219,7 @@ def test_interval_coverage_small():
         ds, _ = generate(replace(sc, seed=1000 + t))
         cfg = JpsConfig(x_z=sc.covariate_names(), x_g=sc.covariate_names(),
                         grid=GridPolicy(z_values=tuple(z_points), g_values=None))
-        bands = bootstrap_drf(ds, cfg, run_jps(ds, cfg).drf, b=100, seed=t)
+        bands = bootstrap_drf(ds, cfg, run_jps(ds, cfg), b=100, seed=t)
         hits += (bands.marginal_z_lo <= oracle.marginal_z) & (
             oracle.marginal_z <= bands.marginal_z_hi
         )

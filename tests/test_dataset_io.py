@@ -65,7 +65,7 @@ class TestPanelDataset:
         assert ds.weights.dtype == float and list(ds.weights) == [2.0, 5.0]
         assert list(ds.subset([1, 1]).weights) == [5.0, 5.0]
         assert list(ds.subset([0], weights=[3]).weights) == [6.0]
-        assert small_dataset().subset([0, 1]).weights is None
+        assert list(small_dataset().subset([0, 1]).weights) == [1.0, 1.0]
 
     def test_unique_keys(self):
         check_unique_keys(small_dataset())

@@ -516,8 +516,28 @@ class TestFrequencyWeights:
             close(getattr(weighted.drf, name), getattr(replicated.drf, name))
 
     @pytest.mark.parametrize("run", [run_jps, run_naive])
+    def test_weights_of_one_are_the_unweighted_panel(self, run):
+        # one arithmetic: a panel given weights of 1 runs the bits of the
+        # panel without weights
+        sc = synth.scenario_confounded(1)
+        ds, _ = synth.generate(sc)
+        names = sc.covariate_names()
+        grids = run(ds, JpsConfig(x_z=names, x_g=names)).drf
+        cfg = JpsConfig(x_z=names, x_g=names, grid=GridPolicy(
+            z_values=tuple(grids.z_grid),
+            g_values=None if grids.g_grid is None else tuple(grids.g_grid)))
+        plain = run(ds, cfg).drf
+        ones = run(ds.subset(np.arange(ds.n), weights=np.ones(ds.n)), cfg).drf
+        curves = ("surface", "marginal_z", "marginal_g") if run is run_jps else ("marginal_z",)
+        for name in curves:
+            assert np.array_equal(getattr(ones, name), getattr(plain, name)), name
+
+    @pytest.mark.parametrize("run", [run_jps, run_naive])
     def test_weighted_panel_needs_explicit_grid(self, run):
         ds = make_dataset(n=50, seed=93)
+        # weights of 1 count each row once: the percentile grid applies
+        ones = run(ds.subset(np.arange(ds.n), weights=np.ones(ds.n)), config_for(ds)).drf
+        assert np.array_equal(ones.z_grid, run(ds, config_for(ds)).drf.z_grid)
         weighted = ds.subset(np.arange(ds.n), weights=np.full(ds.n, 2.0))
         with pytest.raises(InputError, match="weighted panel needs explicit z grid values"):
             run(weighted, config_for(ds))
