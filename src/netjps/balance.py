@@ -75,11 +75,13 @@ def lr_test(rss_restricted, rss_full, n, df_added):
     return stat, chi2_sf(stat, int(df_added))
 
 
-def _fit_dropping_singular(x, y, names, step, protected=frozenset()):
+def _fit_dropping_singular(x, y, names, step):
     """OLS with singular-column recovery: drop offending columns and warn.
 
-    ``protected`` columns are never dropped (used to keep nested models
-    nested when the full design degenerates).
+    A fit names only columns that depend on the ones before them, so a
+    design keeps its leading columns: ``const`` first keeps the intercept,
+    and a restricted model's kept columns first keep the full model nested
+    around it.
     """
     names = list(names)
     cols = {nm: x[:, j] for j, nm in enumerate(names)}
@@ -89,8 +91,8 @@ def _fit_dropping_singular(x, y, names, step, protected=frozenset()):
         try:
             return fit_ols(mat, y, names=tuple(names)), tuple(dropped)
         except SingularDesignError as exc:
-            kill = [nm for nm in exc.columns if nm != "const" and nm not in protected]
-            if not kill or len(kill) >= len(names):
+            kill = list(exc.columns)
+            if len(kill) >= len(names):
                 raise
             for nm in kill:
                 names.remove(nm)
@@ -194,9 +196,7 @@ def _lr_step(label, y, restricted_cols, added_cols):
     cols_full = [(x_r[:, names_r.index(nm)], nm) for nm in kept_r]
     cols_full += added
     x_f = np.column_stack([col for col, _ in cols_full])
-    fit_f, dropped_f = _fit_dropping_singular(
-        x_f, y, [nm for _, nm in cols_full], label, protected=frozenset(kept_r)
-    )
+    fit_f, dropped_f = _fit_dropping_singular(x_f, y, [nm for _, nm in cols_full], label)
     df_added = len(fit_f.names) - len(kept_r)
     dropped = dropped_r + dropped_f
     if df_added == 0:

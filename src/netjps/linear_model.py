@@ -1,9 +1,9 @@
 """Gaussian linear models: least squares, densities, polynomial design rows.
 
-The least-squares solver is a backward-stable orthogonal decomposition
-(Householder QR, with column pivoting to name the columns of a rank-deficient
-design); explicit normal equations are never formed here and are kept only as
-an independent oracle in the test suite.
+The least-squares solver is a backward-stable orthogonal decomposition: one
+Householder QR, without column pivoting, whose R both decides the rank and
+solves for the coefficients.  Explicit normal equations are never formed here
+and are kept only as an independent oracle in the test suite.
 """
 
 import math
@@ -13,7 +13,10 @@ import numpy as np
 
 from .errors import DomainError, InputError, SingularDesignError
 
-RANK_TOL = 1e-10  # singular if a pivoted R diagonal < RANK_TOL * largest
+# Column j is singular if |R[j, j]| <= RANK_TOL * (norm of R's column j): the
+# sine of its angle to the span of the columns before it.  A column's own
+# scale cancels, so the rule does not depend on any column's units.
+RANK_TOL = 1e-10
 
 # Terms per BLAS dot product in a sum over rows.  OpenBLAS computes a ddot
 # of at most 10000 terms on one thread, so a sum of such dots added in order
@@ -101,8 +104,9 @@ def fit_ols(x, y, names=None, weights=None):
     Raises
     ------
     SingularDesignError
-        If the design is rank deficient (tolerance-checked on the pivoted R
-        diagonal); the error names the offending column set.
+        If a column lies within ``RANK_TOL`` (the sine of the angle) of the
+        span of the columns before it, the first column only if it is zero;
+        the error names every such column, in design order.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -130,21 +134,15 @@ def fit_ols(x, y, names=None, weights=None):
     # one QR of [x | y]: R is the top-left p x p block, Q^T y its last column
     r_xy = np.linalg.qr(xy, mode="r")
     r, qty = r_xy[:p, :p], r_xy[:p, p]
-    # every pivoted R diagonal is >= sigma_min(R), and the largest is the
-    # largest column norm: with a factor 2 to spare for rounding, the rank
-    # rule cannot fire and the pivoted QR is skipped
-    largest = np.linalg.norm(r, axis=0).max(initial=0.0)
-    smallest = np.linalg.svd(r, compute_uv=False).min(initial=np.inf)
-    if p and not smallest >= 2 * RANK_TOL * largest > 0:
-        diag, piv = _pivoted_qr_diagonal(r, x)
-        rank = int(np.sum(diag >= RANK_TOL * diag[0])) if diag[0] > 0 else 0
-        if rank < p:
-            offending = tuple(names[j] for j in piv[rank:])
-            raise SingularDesignError(
-                f"singular design: columns {sorted(offending)} are linearly dependent "
-                f"(tolerance {RANK_TOL:g})",
-                columns=offending,
-            )
+    # hypot: no column norm overflows, whatever the column's scale
+    singular = ~(np.abs(np.diagonal(r)) > RANK_TOL * np.hypot.reduce(r, axis=0))
+    if singular.any():
+        offending = tuple(nm for nm, flag in zip(names, singular) if flag)
+        raise SingularDesignError(
+            f"singular design: columns {list(offending)} depend on the columns "
+            f"before them (tolerance {RANK_TOL:g})",
+            columns=offending,
+        )
     # an upper-triangular R needs no row swaps: this is back substitution
     theta = np.linalg.solve(r, qty)
     resid = y - x @ theta
@@ -152,31 +150,6 @@ def fit_ols(x, y, names=None, weights=None):
     theta.setflags(write=False)
     return LinearFit(theta=theta, sigma=math.sqrt(rss / total),
                      n=int(total) if total.is_integer() else total, rss=rss, names=names)
-
-
-def _pivoted_qr_diagonal(r, x):
-    """|diagonal| and column order of a Householder QR with column pivoting
-    of ``r``, the R factor of ``x``.  Step k takes the column of largest
-    residual norm, the first on a tie; step 0 compares the norms of ``x``'s
-    own columns, so that of equal columns the first is taken."""
-    scale = np.abs(r).max(initial=0.0) or 1.0
-    a = r / scale  # no norm underflows
-    p = a.shape[1]
-    piv = np.arange(p)
-    diag = np.zeros(p)
-    for k in range(p):
-        residual = np.linalg.norm(a[k:, k:] if k else x, axis=0)
-        j = k + int(np.argmax(residual))
-        a[:, [k, j]] = a[:, [j, k]]
-        piv[[k, j]] = piv[[j, k]]
-        # the reflector that maps a[k:, k] to (beta, 0, ..., 0)
-        alpha, tail = a[k, k], np.linalg.norm(a[k + 1:, k])
-        diag[k] = math.hypot(alpha, tail)
-        if tail > 0:
-            beta = -math.copysign(diag[k], alpha)
-            v = np.concatenate(([1.0], a[k + 1:, k] / (alpha - beta)))
-            a[k:, k + 1:] -= np.outer(v, ((beta - alpha) / beta) * (v @ a[k:, k + 1:]))
-    return diag, piv
 
 
 def normal_density(x, mean, sd):

@@ -152,9 +152,6 @@ class AdjacencyView:
         except KeyError:
             raise InputError(f"unknown period {period!r}") from None
 
-    def n_edges(self):
-        return sum(b.w.nnz for b in self.blocks.values())
-
 
 @dataclass(frozen=True)
 class EdgeTable:

@@ -23,6 +23,7 @@ from netjps.network import build_adjacency
 from netjps.transforms import boxcox_zero_skew, skewness
 
 from oracles import dense_pipeline, loop_exposure, normal_equations_ols
+from scenarios import scenario_null, scenario_quadratic, scenario_strong_confounding
 
 
 @contextmanager
@@ -267,7 +268,7 @@ def test_criterion_7_balance_calibration():
             return balance_check(ds, gps, scores).rejects(0.05)
 
         nulls = sum(
-            run_check(replace(synth.scenario_null(seed=s), n_units=800))
+            run_check(replace(scenario_null(seed=s), n_units=800))
             for s in range(200)
         )
         rate = nulls / 200.0
@@ -275,7 +276,7 @@ def test_criterion_7_balance_calibration():
         assert 0.01 <= rate <= 0.12
 
         power_hits = sum(
-            run_check(synth.scenario_strong_confounding(seed=s), wrong_scores=True)
+            run_check(scenario_strong_confounding(seed=s), wrong_scores=True)
             for s in range(100)
         )
         power = power_hits / 100.0
@@ -288,7 +289,7 @@ def test_criterion_7_balance_calibration():
 
 def test_criterion_8_effects():
     with criterion(8, "delta(z,z) = 0 exactly; quadratic derivative within 1e-2 at interior"):
-        sc = synth.scenario_quadratic(seed=1)
+        sc = scenario_quadratic(seed=1)
         ds, _ = synth.generate(sc)
         cfg = JpsConfig(x_z=sc.covariate_names(), x_g=sc.covariate_names())
         res = run_jps(ds, cfg)

@@ -6,9 +6,10 @@ import pytest
 from netjps.balance import balance_check, chi2_sf, lr_test
 from netjps.errors import InputError
 from netjps.jps import JpsConfig, PropensityScores, fit_treatment_models, predict_scores
-from netjps.synth import generate, scenario_null, scenario_strong_confounding
+from netjps.synth import generate
 
 from oracles import gammainc_upper_series_cf
+from scenarios import scenario_null, scenario_strong_confounding
 
 
 class TestLrTest:

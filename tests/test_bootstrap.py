@@ -10,9 +10,10 @@ from netjps.errors import BootstrapError, InputError, SingularDesignError
 from netjps.io import drf_payload, jsonable
 from netjps.jps import GridPolicy, JpsConfig, run_jps, run_naive
 from netjps import bootstrap as bootstrap_mod
-from netjps.synth import OutcomeRule, Scenario, generate, scenario_confounded, scenario_quadratic
+from netjps.synth import OutcomeRule, Scenario, generate, scenario_confounded
 
 from oracles import subset_bootstrap
+from scenarios import scenario_quadratic
 
 
 def small_panel(seed=0, n_units=120, **kw):

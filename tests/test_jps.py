@@ -180,6 +180,20 @@ class TestOutcomeFit:
         fit2 = fit_outcome(ds_p, scores_p)
         assert np.allclose(fit1.theta, fit2.theta, atol=1e-9)
 
+    @pytest.mark.parametrize("mode", ["plain", "trade_normalized"])
+    def test_small_exposures_fit(self, mode):
+        # O(1) weights on 10 in-edges leave g in about [0.004, 0.03], so
+        # g^3's column is some 3e5 times shorter than const's: a rank rule
+        # that compares columns with each other calls g^2 and g^3 singular
+        sc = synth.Scenario(n_units=1000, n_periods=4, n_covariates=5,
+                            treatment_coefs=(0.2,) * 5, weight_log_mean=0,
+                            exposure_mode=mode, seed=1)
+        ds, _ = synth.generate_sparse(sc, 10)
+        names = sc.covariate_names()
+        drf = run_jps(ds, JpsConfig(x_z=names, x_g=names)).drf
+        for name in ("surface", "marginal_z", "marginal_g"):
+            assert np.all(np.isfinite(getattr(drf, name))), name
+
 
 class TestImputeAndMarginals:
     def test_constant_outcome_model_gives_constant_surface(self):

@@ -60,7 +60,30 @@ class TestFitOls:
         x = np.column_stack([np.ones(10), np.arange(10.0), 2 * np.arange(10.0)])
         with pytest.raises(SingularDesignError) as exc:
             fit_ols(x, np.zeros(10), names=("const", "a", "a2x"))
-        assert set(exc.value.columns) & {"a", "a2x"}
+        # a2x depends on the columns before it; a does not
+        assert exc.value.columns == ("a2x",)
+
+    def test_dependent_columns_before_const_name_const(self):
+        # the outcome design's order puts const last: with a constant score
+        # its powers come first, so phi^2 and const are the dependent ones
+        z = np.linspace(0.5, 2.0, 12)
+        phi = np.full(12, 0.7)
+        x = np.column_stack([z, phi, phi * phi, np.ones(12)])
+        with pytest.raises(SingularDesignError) as exc:
+            fit_ols(x, z, names=("z", "phi", "phi^2", "const"))
+        assert exc.value.columns == ("phi^2", "const")
+
+    @pytest.mark.parametrize("factor", [1e-160, 1e-12, 1e-6, 1e6, 1e12, 1e160])
+    def test_column_scale_does_not_decide_the_rank(self, factor):
+        rng = np.random.default_rng(47)
+        x = np.column_stack([np.ones(200), rng.normal(size=(200, 4))])
+        y = rng.normal(size=200)
+        w = rng.integers(1, 4, size=200)
+        base = fit_ols(x, y, weights=w)
+        scaled = x.copy()
+        scaled[:, 2] *= factor
+        fit = fit_ols(scaled, y, weights=w)
+        assert fit.theta[2] * factor == pytest.approx(base.theta[2], rel=1e-8)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(InputError, match="rows >= columns"):

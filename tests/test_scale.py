@@ -53,7 +53,7 @@ def test_ingest_memory_is_a_small_multiple_of_the_arrays(tmp_path):
     assert read_peak <= 3 * nbytes + BLOCK_ALLOWANCE, (read_peak, nbytes)
 
     built, build_peak = traced_peak(build_adjacency, table, nodes)
-    assert built.n_edges() == 100_000
+    assert sum(b.w.nnz for b in built.blocks.values()) == 100_000
     assert build_peak <= 3 * nbytes + BLOCK_ALLOWANCE, (build_peak, nbytes)
 
 
@@ -69,7 +69,7 @@ def test_ingest_bytes_per_edge(tmp_path):
     table, read_peak = traced_peak(read_edges_csv, path)
     assert read_peak / len(table) <= 45, read_peak
     built, build_peak = traced_peak(build_adjacency, table, nodes)
-    assert built.n_edges() == len(table) == 100_000
+    assert sum(b.w.nnz for b in built.blocks.values()) == len(table) == 100_000
     assert build_peak / len(table) <= 50, build_peak
 
 
@@ -98,7 +98,7 @@ sys.exit(code)
 
 def test_exposure_at_1e5_rows_per_period(tmp_path):
     ds, adj = generate_sparse(sparse_scenario(100_000, 3, n_periods=1), 3)
-    assert ds.n == 100_000 and adj.n_edges() == 300_000
+    assert ds.n == 100_000 and sum(b.w.nnz for b in adj.blocks.values()) == 300_000
     write_panel_csv(ds, tmp_path / "panel.csv")
     write_edges_csv(adj, tmp_path / "edges.csv")
     cfg = tmp_path / "run.cfg"

@@ -9,11 +9,10 @@ from netjps.synth import (
     generate_sparse,
     oracle_drf,
     scenario_confounded,
-    scenario_null,
-    scenario_quadratic,
 )
 
 from oracles import scipy_csr
+from scenarios import scenario_null, scenario_quadratic
 
 
 def small_scenario(**kw):
