@@ -19,7 +19,7 @@ from itertools import accumulate, islice
 import numpy as np
 
 from .errors import InputError
-from .network import EdgeTable, code_labels
+from .network import EdgeTable, LabelCodes, code_labels
 
 EDGE_COLUMNS = ("source", "target", "period", "weight")
 
@@ -134,7 +134,7 @@ def _read_columns(path, layout):
             error = exc
         failed = error is not None
         if not failed:
-            labels = [{} for _ in label_cols]
+            labels = [LabelCodes() for _ in label_cols]
             columns = _columns([np.int32] * len(labels) + [float] * len(numeric), bound)
         filled = 0
         rows = filter(None, reader)

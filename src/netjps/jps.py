@@ -19,10 +19,12 @@ element budget (:func:`_unit_block`), so its working memory is
 O(max(``BLOCK_ELEMENTS``, (n_z + n_g) * ``UNIT_BLOCK``)) whatever the
 panel's size.  The surface's neighborhood-score sums factor into products
 over the units, which take O((n_z + n_g) * n) exps where a direct
-evaluation takes one per unit and cell.  Every contraction over units is a
-set of BLAS dot products (``np.vecdot``) of at most one block, and so at
-most ``DOT_BLOCK``, terms each, so each output sums in one fixed order
-whatever the BLAS thread count.
+evaluation takes one per unit and cell.  Every contraction over units sums
+in one fixed order whatever the BLAS thread count: a curve's is a set of
+BLAS dot products (``np.vecdot``) of at most one block, and so at most
+``DOT_BLOCK``, terms each, and a surface tile's an in-order sum of matrix
+products (``np.matmul``) small enough for OpenBLAS to run each on one
+thread (``GEMM_ONE_THREAD``).
 
 Every stage runs one weighted arithmetic on the dataset's frequency
 weights, which are 1 for each row unless given: the Box-Cox root and the
@@ -40,6 +42,7 @@ import numpy.ma  # noqa: F401  lazy in numpy, loaded by np.percentile: load it a
 from .errors import DegenerateExposureError, DomainError, InputError
 from .linear_model import (
     DOT_BLOCK,
+    GEMM_ONE_THREAD,
     LinearFit,
     build_outcome_matrix,
     fit_ols,
@@ -306,7 +309,9 @@ def fit_outcome(dataset, scores):
 # does.  The block also bounds the length of every np.vecdot contraction,
 # which numpy runs as one BLAS ddot per output value for float64, so the
 # output's bits do not depend on the BLAS thread count as long as the block
-# is at most DOT_BLOCK.
+# is at most DOT_BLOCK.  A surface tile's contraction is cut further, into
+# matrix products of at most GEMM_ONE_THREAD multiply-adds
+# (:func:`_unit_products`).
 UNIT_BLOCK = 512
 BLOCK_ELEMENTS = 120 * UNIT_BLOCK
 
@@ -347,6 +352,23 @@ def _block_buffers(rows, n, block):
     grid axis's values into, allocated once per imputation call; their
     width is the block length of every unit sum that uses them."""
     return np.empty((2, rows, min(n, block)))
+
+
+def _unit_products(a, b, out, scratch):
+    """``out = a @ b.T`` for a (rows, n) ``a`` and a (cols, n) ``b``, summed
+    over n in order: ``np.matmul`` blocks of at most ``DOT_BLOCK`` columns
+    and ``GEMM_ONE_THREAD`` multiply-adds, each one a single-threaded BLAS
+    call, so the bits do not depend on the BLAS thread count.  Every block
+    after the first is formed in ``scratch``, an array of out's shape, and
+    added to ``out``.  On a grid of more than ``GEMM_ONE_THREAD`` cells a
+    block is one unit: one product per cell, with no sum to order.
+    """
+    rows, cols = out.shape
+    step = max(1, min(DOT_BLOCK, GEMM_ONE_THREAD // (rows * cols)))
+    np.matmul(a[:, :step], b[:, :step].T, out=out)
+    for lo in range(step, a.shape[1], step):
+        out += np.matmul(a[:, lo:lo + step], b[:, lo:lo + step].T, out=scratch)
+    return out
 
 
 def _density_means(x, means, sd, buffers, weights, factor=None):
@@ -409,11 +431,11 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers, wei
     over units is exp(k e + log(U^k V^k.T)): e is added as an exponent,
     so a cell keeps every value the direct exp keeps, and one far from
     every unit of the tile gets exactly 0 there without touching the other
-    rows.  The products are formed by ``np.vecdot``, one BLAS dot of at
-    most one block's terms per cell, whose summation order does not
-    depend on the BLAS thread count.  U and V are written into the z-axis
-    and g-axis :func:`_block_buffers`.  A unit's frequency weight
-    multiplies its V factor.
+    rows.  The products U^k V^k.T are matrix products summed over the
+    tile's units by :func:`_unit_products`, whose order does not depend on
+    the BLAS thread count.  U and V are written into the z-axis and g-axis
+    :func:`_block_buffers`.  A unit's frequency weight multiplies its V
+    factor.
     """
     order = np.argsort(base_g)
     b_sorted, w_sorted = base_g[order], weights[order]
@@ -423,7 +445,7 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers, wei
     sums = np.zeros((3, nz, ng))
     u, u_pow = z_buffers
     v, v_pow = g_buffers
-    prod = np.empty((3, nz, ng))
+    prod, scratch = np.empty((3, nz, ng)), np.empty((nz, ng))
     powers_k = np.array([1.0, 2.0, 3.0])[:, None, None]
     for units in _runs(b_sorted, span, u.shape[1]):
         b_mid = 0.5 * (b_sorted[units.start] + b_sorted[units.stop - 1])
@@ -453,7 +475,7 @@ def _lambda_means(z_grid, g_grid, base_g, beta, sigma, z_buffers, g_buffers, wei
                 if k:
                     uk = np.multiply(uk, uu, out=ut)
                     vk = np.multiply(vk, vv, out=vt)
-                np.vecdot(uk[:, None, :], vk[None, :, :], out=out[k])
+                _unit_products(uk, vk, out[k], scratch[:, :nc])
             sums[:, :, cells] += np.exp(powers_k * e + np.log(out))
     return sums / _peak_powers(sigma)[:, None, None] / weights.sum()
 

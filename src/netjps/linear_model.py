@@ -24,6 +24,12 @@ RANK_TOL = 1e-10
 # does not.
 DOT_BLOCK = 10_000
 
+# Multiply-adds m * n * k per BLAS matrix product in a sum over rows.
+# OpenBLAS runs a gemm of at most SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD
+# = 65536 * 4 of them on one thread (interface/gemm.c), so a sum of such
+# products added in order has the same bits whatever the BLAS thread count.
+GEMM_ONE_THREAD = 65536 * 4
+
 # Design rows for the outcome model, in the canonical reporting order
 # (polynomials in each treatment and score, score and treatment interactions,
 # intercept last).

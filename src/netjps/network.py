@@ -15,7 +15,7 @@ write-protected), so all operations here are safe to call concurrently.
 
 import math
 from dataclasses import dataclass, replace
-from itertools import filterfalse, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -174,9 +174,8 @@ class EdgeTable:
 
     @classmethod
     def from_codes(cls, sources, targets, periods, source, target, period, weight):
-        """From the label -> code dicts of the sources, targets and periods
-        (codes in order of first appearance), the int32 code arrays into
-        them, and a float64 weight array.
+        """From the :class:`LabelCodes` of the sources, targets and periods,
+        the int32 code arrays into them, and a float64 weight array.
 
         Units take their order of first appearance over all sources, then
         all targets: ``sources`` grows into the unit dict, so the source
@@ -191,7 +190,7 @@ class EdgeTable:
     def from_records(cls, edges):
         """From an iterable of (source, target, period, weight) tuples."""
         cells = list(zip(*edges, strict=True)) or ((),) * 4
-        labels = ({}, {}, {})
+        labels = (LabelCodes(), LabelCodes(), LabelCodes())
         codes = [code_labels(d, column) for d, column in zip(labels, cells)]
         weights = np.fromiter(map(float, cells[3]), dtype=float, count=len(cells[3]))
         return cls.from_codes(*labels, *codes, weights)
@@ -212,11 +211,20 @@ class EdgeTable:
                        period=self.period[order], weight=self.weight[order]), order
 
 
+class LabelCodes(dict):
+    """A label -> code dict that codes a label it lacks when it is looked
+    up, as the next code: codes follow the labels' first appearance.  A
+    map kept after coding must not grow on lookup, so it is copied into a
+    plain dict (``PanelKeys.units``)."""
+
+    def __missing__(self, label):
+        self[label] = code = len(self)
+        return code
+
+
 def code_labels(labels, cells):
-    """The int32 codes of ``cells`` in ``labels``, a label -> code dict that
-    first grows by each new label in order of first appearance."""
-    fresh = list(filterfalse(labels.__contains__, dict.fromkeys(cells)))
-    labels.update(zip(fresh, range(len(labels), len(labels) + len(fresh))))
+    """The int32 codes of the sequence ``cells`` in the
+    :class:`LabelCodes` ``labels``, which grows by each new label."""
     return np.fromiter(map(labels.__getitem__, cells), dtype=np.int32, count=len(cells))
 
 
@@ -327,7 +335,7 @@ class PanelKeys:
         """Code the key columns (sequences of labels).  A key on more than
         one row raises :class:`InputError` naming the first repeat in row
         order and the row it repeats."""
-        unit_codes, period_codes = {}, {}
+        unit_codes, period_codes = LabelCodes(), LabelCodes()
         unit = code_labels(unit_codes, list(units))
         key = code_labels(period_codes, list(periods)).astype(np.int64)
         key *= len(unit_codes)
@@ -341,7 +349,7 @@ class PanelKeys:
             raise InputError(f"duplicate (unit, period) key {(units[row], periods[row])!r} "
                              f"at rows {first} and {row}")
         bounds = np.searchsorted(key, np.arange(len(period_codes) + 1) * len(unit_codes))
-        return cls(unit_codes, tuple(period_codes), unit, rows, bounds)
+        return cls(dict(unit_codes), tuple(period_codes), unit, rows, bounds)
 
 
 def check_unique_keys(dataset):

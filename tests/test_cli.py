@@ -361,22 +361,23 @@ class TestCommands:
                 == (naive / "drf_marginal_z.csv").read_bytes())
 
     @staticmethod
-    def drf_json_per_blas_threads(tmp_path, panel, grid_size):
-        """drf.json of ``netjps drf`` (B = 3, a grid_size^2 grid) on the
-        (dataset, graph) ``panel``, with OPENBLAS_NUM_THREADS 1 and 2."""
+    def drf_json_per_blas_threads(tmp_path, panel, n_z, n_g):
+        """drf.json of ``netjps drf`` (B = 3, an n_z x n_g grid) on the
+        (dataset, graph) ``panel``, with OPENBLAS_NUM_THREADS 1 and with
+        as many threads as the machine has CPUs, at least 2."""
         ds, adj = panel
         write_panel_csv(ds, tmp_path / "panel.csv")
         write_edges_csv(adj, tmp_path / "edges.csv")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         docs = []
-        for threads in ("1", "2"):
+        for threads in ("1", str(max(2, os.cpu_count() or 1))):
             rundir = tmp_path / f"threads{threads}"
             runfile = write(tmp_path / f"threads{threads}.cfg", RUN_CONFIG.format(
                 panel=tmp_path / "panel.csv", edges=tmp_path / "edges.csv",
                 out=rundir, variant="jps", b=3,
-            ).replace("grid.n_z = 8", f"grid.n_z = {grid_size}")
-             .replace("grid.n_g = 6", f"grid.n_g = {grid_size}"))
+            ).replace("grid.n_z = 8", f"grid.n_z = {n_z}")
+             .replace("grid.n_g = 6", f"grid.n_g = {n_g}"))
             proc = subprocess.run(
                 [sys.executable, "-m", "netjps.cli", "drf", "--config", runfile],
                 env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True,
@@ -394,20 +395,30 @@ class TestCommands:
             outcome=OutcomeRule(z=1.0, g=0.5, x=(0.1, 0.1)), seed=11))
 
     def test_drf_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # 4000 rows on a 60 x 60 grid: a plain BLAS product of the surface's
-        # unit blocks sums in an order that changes with the thread count
+        # 4000 rows on a 60 x 60 grid: one BLAS product over a 512-unit
+        # block of a surface tile sums in an order that changes with the
+        # thread count, so each tile is summed as gemm blocks of 72 units
         panel = self.four_thousand_rows()
         assert panel[0].n >= 4000
-        docs = self.drf_json_per_blas_threads(tmp_path, panel, 60)
+        docs = self.drf_json_per_blas_threads(tmp_path, panel, 60, 60)
+        assert docs[0] == docs[1]
+
+    def test_drf_bytes_do_not_depend_on_blas_threads_on_one_g_value(self, tmp_path):
+        # every surface tile has a single-cell g run: numpy sends each
+        # (60, k) x (k, 1) product to gemv, not gemm
+        panel = self.four_thousand_rows()
+        assert jps._unit_block(60, 1) > jps.UNIT_BLOCK
+        docs = self.drf_json_per_blas_threads(tmp_path, panel, 60, 1)
         assert docs[0] == docs[1]
 
     def test_drf_bytes_do_not_depend_on_blas_threads_in_grid_sized_blocks(self, tmp_path):
         # a 20 x 20 grid takes unit blocks longer than UNIT_BLOCK, each
-        # contraction still one single-threaded ddot
+        # curve's contraction still one single-threaded ddot and each
+        # surface tile's a sum of single-threaded gemm blocks
         panel = self.four_thousand_rows()
         block = jps._unit_block(20, 20)
         assert jps.UNIT_BLOCK < block <= DOT_BLOCK and panel[0].n > block
-        docs = self.drf_json_per_blas_threads(tmp_path, panel, 20)
+        docs = self.drf_json_per_blas_threads(tmp_path, panel, 20, 20)
         assert docs[0] == docs[1]
 
     def test_drf_bytes_do_not_depend_on_blas_threads_above_one_dot_block(self, tmp_path):
@@ -418,7 +429,7 @@ class TestCommands:
             weight_log_sd=0.4, n_covariates=2, treatment_coefs=(0.2, -0.1),
             outcome=OutcomeRule(z=1.0, g=0.5, x=(0.1, 0.1)), seed=11), 5)
         assert panel[0].n > DOT_BLOCK
-        docs = self.drf_json_per_blas_threads(tmp_path, panel, 6)
+        docs = self.drf_json_per_blas_threads(tmp_path, panel, 6, 6)
         assert docs[0] == docs[1]
 
     def test_drf_loads_no_scipy_and_no_lazy_numpy(self, simulated, tmp_path):

@@ -17,7 +17,9 @@ from netjps.jps import (
     run_jps,
     run_naive,
 )
-from netjps.linear_model import DOT_BLOCK, WITHOUT_INTERFERENCE_TERMS, build_outcome_matrix
+from netjps.linear_model import (
+    DOT_BLOCK, GEMM_ONE_THREAD, WITHOUT_INTERFERENCE_TERMS, build_outcome_matrix,
+)
 from netjps.transforms import boxcox_apply
 from netjps import jps, synth
 
@@ -378,6 +380,47 @@ class TestImputeAndMarginals:
         # a 60 x 60 grid keeps 512-unit blocks, a larger one no shorter
         assert jps._unit_block(60, 60) == 512
         assert jps._unit_block(300, 300) >= 512
+
+    @pytest.mark.parametrize("rows", [1, 2, 60])
+    @pytest.mark.parametrize("cols", [1, 2, 60])
+    def test_unit_products_match_vecdot(self, rows, cols):
+        # the surface's sums over units as gemm blocks added in order: the
+        # same products as one dot per cell, regrouped.  The factors are
+        # column slices of wider buffers, as in imputation
+        rng = np.random.default_rng(100 * rows + cols)
+        scratch = np.empty((rows, cols))
+        for n in (1, 72, 512, 1536):
+            a, b = rng.random((rows, n + 5))[:, :n], rng.random((cols, n + 5))[:, :n]
+            got = jps._unit_products(a, b, np.empty((rows, cols)), scratch)
+            want = np.vecdot(a[:, None, :], b[None, :, :])
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_unit_product_blocks_run_on_one_blas_thread(self, monkeypatch):
+        # OpenBLAS runs a gemm of at most GEMM_ONE_THREAD multiply-adds on
+        # one thread, and numpy sends a 1 x 1 product to ddot, which runs on
+        # one thread only up to DOT_BLOCK terms: every block keeps within both
+        blocks = []
+        matmul = np.matmul
+
+        def recorded(a, b, out):
+            blocks.append((a.shape[0], b.shape[1], a.shape[1]))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        for rows, cols, n in [(1, 1, 25_000), (1, 60, 10_000), (60, 1, 5000), (2, 60, 5000),
+                              (60, 60, 1536), (60, 60, 72), (60, 2, 1)]:
+            blocks.clear()
+            scratch = np.empty((rows, cols))
+            out = jps._unit_products(np.ones((rows, n)), np.ones((cols, n)),
+                                     np.empty((rows, cols)), scratch)
+            assert np.all(out == n) and sum(k for *_, k in blocks) == n
+            for r, c, k in blocks:
+                assert (r, c) == (rows, cols) and r * c * k <= GEMM_ONE_THREAD and k <= DOT_BLOCK
+        # with more cells than GEMM_ONE_THREAD, a block is one product per cell
+        blocks.clear()
+        out = jps._unit_products(np.ones((513, 3)), np.ones((513, 3)), np.empty((513, 513)),
+                                 np.empty((513, 513)))
+        assert np.all(out == 3) and blocks == [(513, 513, 1)] * 3
 
     def test_grid_sized_blocks_match_unit_blocks_of_512(self, monkeypatch):
         # a 20 x 20 grid sums 2000 units in blocks of 1536, the z-only
